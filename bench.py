@@ -2,10 +2,13 @@
 
 Runs the headline pipelines over $GRAFT_SF_DIR (default /root/testdata/sf0.1)
 with ray.init(address="local", num_cpus=$RAY_GRAFT_CPUS or 32) and prints
-ONE JSON line:
+ONE JSON line of headline fields:
 
-  {"metric": "...", "value": <headline sec>, "unit": "sec",
-   "queries": {...}, "sf": ..., "num_cpus": N, "docs_per_sec": ...}
+  {"metric": "...", "value": <headline sec>, "unit": "sec", "sf": ...,
+   "num_cpus": N, "docs_per_sec": ..., "detail": ".bench_build/bench_detail.json"}
+
+The per-query timings (``queries``) go to that detail file, which holds
+the whole result; with them the line grew too long to be read back whole.
 
 `--scaling` runs the headline pipeline in two fresh subprocesses
 (num_cpus=8 then 32) on the same input and reports both throughputs plus
@@ -25,6 +28,7 @@ os.environ.setdefault("RAY_DATA_DISABLE_PROGRESS_BARS", "1")
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+DETAIL_PATH = os.path.join(".bench_build", "bench_detail.json")  # under the repo root
 
 # bench queries: a representative slice of the operator surface
 BENCH_QUERIES = [
@@ -511,6 +515,25 @@ def run_scaling() -> dict:
     }
 
 
+def headline_line(result: dict, detail_path: str | None = None) -> str:
+    """The one JSON line the bench prints: ``result`` without its
+    per-query ``queries`` dict, plus where the full result was written."""
+    head = {k: v for k, v in result.items() if k != "queries"}
+    if detail_path is not None:
+        head["detail"] = detail_path
+    return json.dumps(head)
+
+
+def write_detail(result: dict) -> str:
+    """Write the full result to DETAIL_PATH under the repo root; return
+    DETAIL_PATH."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), DETAIL_PATH)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as f:
+        json.dump(result, f, indent=1, sort_keys=True)
+    return DETAIL_PATH
+
+
 if __name__ == "__main__":
     if "--scaling" in sys.argv:
         result = run_scaling()
@@ -519,4 +542,4 @@ if __name__ == "__main__":
         import ray
 
         ray.shutdown()
-    print(json.dumps(result))
+    print(headline_line(result, write_detail(result) if "queries" in result else None))

@@ -49,8 +49,9 @@ def repair_with_debug(text: str, config: RepairConfig = DEFAULT_CONFIG) -> dict:
                 "steps": steps,
                 "repairs": [r.as_dict() for r in authoritative.repairs]}
 
+    t0 = time.perf_counter_ns()
     ok, value = layer4.try_fast_path(text)
-    steps.append({"layer": "fast_path", "us": 0.0, "hit": ok,
+    steps.append({"layer": "fast_path", "us": round((time.perf_counter_ns() - t0) / 1000, 1), "hit": ok,
                   "input_size": len(text), "output_size": None, "repairs_so_far": 0})
     if config.strict_mode or ok:
         return result()
@@ -78,6 +79,8 @@ def repair_with_debug(text: str, config: RepairConfig = DEFAULT_CONFIG) -> dict:
             s, repairs=repairs, max_depth=config.max_parse_depth,
             allow_multiple=config.enable_multiple_json_aggregation,
             allow_merge=config.enable_object_merging,
+            allow_ellipsis=config.enable_ellipsis_filtering,
+            allow_keywords=config.enable_keyword_filtering,
         )
         all_repairs = repairs if value is SKIP else all_repairs
     except Exception:  # noqa: BLE001 — diagnostics path mirrors layer rescue

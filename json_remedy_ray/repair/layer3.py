@@ -21,33 +21,24 @@ from json_remedy_ray.repair.actions import LAYER_SYNTAX, Repair
 
 # ---------------------------------------------------------------- segments
 
+# One double-quoted string: a backslash escapes the next char (newline
+# included); an unterminated string runs to the end of the text, a lone
+# trailing backslash with it.  Possessive loops: no backtracking.
+DQ_STRING_RE = re.compile(r'"[^"\\]*+(?:\\.[^"\\]*+)*+["\\]?', re.DOTALL)
+
 
 def _segments(s: str):
     """Yield (is_string, text) segments; string segments include their
     double quotes.  Escape-aware (reference layer_behaviour.ex:69-77
     `inside_string?`)."""
     out_start = 0
-    i, n = 0, len(s)
-    while i < n:
-        if s[i] == '"':
-            j = i + 1
-            while j < n:
-                if s[j] == "\\":
-                    j += 2
-                    continue
-                if s[j] == '"':
-                    break
-                j += 1
-            if j >= n:  # unterminated string: treat rest as string
-                j = n - 1
-            if i > out_start:
-                yield False, s[out_start:i]
-            yield True, s[i:j + 1]
-            i = j + 1
-            out_start = i
-            continue
-        i += 1
-    if out_start < n:
+    for m in DQ_STRING_RE.finditer(s):
+        i, j = m.span()
+        if i > out_start:
+            yield False, s[out_start:i]
+        yield True, s[i:j]
+        out_start = j
+    if out_start < len(s):
         yield False, s[out_start:]
 
 
@@ -57,11 +48,9 @@ def _outside_strings(s: str, fn: Callable[[str], str]) -> str:
 
 def inside_string(s: str, pos: int) -> bool:
     """True when ``pos`` falls inside a double-quoted string."""
-    off = 0
-    for is_str, seg in _segments(s):
-        if off <= pos < off + len(seg):
-            return is_str
-        off += len(seg)
+    for m in DQ_STRING_RE.finditer(s, 0, pos + 1):
+        if m.start() <= pos < m.end():
+            return True
     return False
 
 

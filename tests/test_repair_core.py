@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from json_remedy_ray import RepairConfig, analyze, can_repair, repair, repair_to_string
@@ -73,13 +75,20 @@ def test_giant_doc_guard():
     assert not res.ok
 
 
+_GOLDEN_INVALID_JSON = "/root/reference/test/data/invalid.json"
+
+
+@pytest.mark.skipif(
+    not os.path.exists(_GOLDEN_INVALID_JSON),
+    reason="reference corpus test/data/invalid.json is not checked out; "
+           "its 6 repaired records are not recorded in this repo")
 def test_reference_golden_file():
     """Reference test/data/invalid.json (271-line corpus used by the
     from_file doctest): repairs to a non-empty list
     (recent_python_cases_test.exs:238-242)."""
     from json_remedy_ray.sources.readers import read_and_repair_file
 
-    r = read_and_repair_file("/root/reference/test/data/invalid.json")
+    r = read_and_repair_file(_GOLDEN_INVALID_JSON)
     assert r.ok and isinstance(r.value, list) and len(r.value) == 6
     assert all(isinstance(x, dict) for x in r.value)
     # the two malformations: unquoted multi-word value + missing final ]
@@ -119,3 +128,28 @@ def test_bytes_input_parity():
     assert repair('{"k": "é"}'.encode()).repaired_json == '{"k":"é"}'
     r = repair(b"\xff\xfe{}")
     assert not r.ok and "UTF-8" in r.error
+
+
+def test_debug_parse_step_uses_the_full_config():
+    """repair_with_debug's tolerant-parse step runs with the same keyword
+    and ellipsis switches as repair(): with both filters off, the step
+    sees every repair the authoritative result carries."""
+    from json_remedy_ray.repair.debug import repair_with_debug
+
+    cfg = RepairConfig(enable_keyword_filtering=False, enable_ellipsis_filtering=False)
+    out = repair_with_debug("{a: 1, TODO, b: [1, 2, ...]}", cfg)
+    parse_step = [s for s in out["steps"] if s["layer"] == "tolerant_parse"]
+    assert len(out["repairs"]) == 5
+    assert parse_step and parse_step[0]["repairs_so_far"] == len(out["repairs"])
+
+
+def test_debug_times_the_fast_path():
+    """The fast-path step reports its measured time, not a constant 0."""
+    import json
+
+    from json_remedy_ray.repair.debug import repair_with_debug
+
+    out = repair_with_debug(json.dumps(list(range(20_000))))
+    fast = out["steps"][0]
+    assert fast["layer"] == "fast_path" and fast["hit"] is True
+    assert fast["us"] > 0
