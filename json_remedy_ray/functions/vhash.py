@@ -45,7 +45,7 @@ def _mix64(h: np.ndarray) -> np.ndarray:
 
 def string_view(col) -> tuple[np.ndarray, np.ndarray]:
     """(offsets[n+1]: int64, data: uint8) numpy views of an Arrow string
-    column — zero-copy apart from chunk combining.
+    column — zero-copy apart from combining two or more chunks.
 
     Nulls are rewritten to true empty strings first: the Arrow format only
     guarantees monotonic offsets, so a null slot may span garbage bytes
@@ -53,7 +53,7 @@ def string_view(col) -> tuple[np.ndarray, np.ndarray]:
     nondeterministically.  ``fill_null`` is skipped entirely on the common
     null-free path (null_count == 0 is a cheap metadata check)."""
     if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
+        col = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
     if col.null_count:
         import pyarrow.compute as _pc
 

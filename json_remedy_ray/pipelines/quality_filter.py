@@ -68,12 +68,8 @@ def _scorers_fn_factory(text_col: str):
     def _score(batch):
         key = ("models", text_col)
         if key not in _WORKER_MODELS:
-            _WORKER_MODELS[key] = (
-                LangIdScorer(text_col=text_col),
-                PerplexityScorer(text_col=text_col),
-            )
-        langid, ppl = _WORKER_MODELS[key]
-        return ppl(langid(batch))
+            _WORKER_MODELS[key] = FusedScorer(text_col=text_col)
+        return _WORKER_MODELS[key](batch)
 
     return _score
 

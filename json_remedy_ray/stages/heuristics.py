@@ -36,25 +36,6 @@ EDGE_PUNCT_CHARS = "\"'.,!?;:()[]"
 _STOPWORD_ARR = None  # lazily built pa.array of STOPWORDS
 
 
-def token_stopword_hits(col: pa.ChunkedArray | pa.Array, n: int) -> np.ndarray:
-    """Per-doc stopword hits, fully vectorized: split -> flatten tokens ->
-    strip edge punctuation -> lower -> is_in(set) -> segment-sum by
-    list_parent_indices (RE2 has no lookahead, so boundary regex counting
-    can't handle adjacent stopwords; this formulation has no boundaries)."""
-    global _STOPWORD_ARR
-    if _STOPWORD_ARR is None:
-        _STOPWORD_ARR = pa.array(sorted(STOPWORDS))
-    # utf8_split_whitespace is the dedicated kernel (3.3x faster than the
-    # \s+ regex, and unicode-whitespace like str.split()); empty edge
-    # tokens it emits are harmless here ("" is never a stopword).
-    words_list = pc.utf8_split_whitespace(col)
-    flat = pc.list_flatten(words_list)
-    parents = pc.list_parent_indices(words_list).to_numpy(zero_copy_only=False)
-    norm = pc.utf8_lower(pc.utf8_trim(flat, EDGE_PUNCT_CHARS))
-    hits = pc.is_in(norm, value_set=_STOPWORD_ARR).to_numpy(zero_copy_only=False)
-    return np.bincount(parents[hits], minlength=n).astype(np.int64)
-
-
 def doc_features(t: str) -> tuple[int, float, float, float, int, float]:
     """Scalar reference implementation (one document) — the semantics the
     vectorized batch path reproduces; used by tests as the oracle."""

@@ -4,8 +4,9 @@ New design (SURVEY §2.9).  A BYTE-bigram language model with add-alpha
 smoothing stands in for a KenLM binary (not available in this
 container); the 256x256 log-prob table is built deterministically once
 per worker from an embedded seed text.  Byte-level (not char-level) is
-deliberate: the whole batch scores as ONE numpy gather over the Arrow
-string buffer + a cumulative-sum segment reduction — zero per-document
+deliberate: the whole batch scores as ONE flat 65,536-entry gather over
+the Arrow string buffer (index ``(b0 << 8) | b1`` per byte pair) plus
+one ``np.add.reduceat`` segment sum per document — zero per-document
 Python.  Swapping in a real KenLM changes only the table construction.
 
 Scores are deterministic pure functions of the text, so task retries
@@ -20,6 +21,8 @@ from collections import Counter
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from json_remedy_ray.functions.vhash import string_view
 
 # Embedded seed corpus (filler English written for this repo) — gives
 # common English byte transitions realistic mass.
@@ -42,7 +45,7 @@ def _build_logp_micro(alpha: float = 0.1) -> np.ndarray:
     """256x256 int64 table of MICRO-NAT log-probs (round(logp * 1e6)).
 
     Quantizing to integers makes every per-document total an EXACT int64
-    sum: batch cumsum-difference == scalar per-doc sum bit-for-bit, and
+    sum: batch segment sum == scalar per-doc sum bit-for-bit, and
     a DuckDB oracle can reproduce the totals from the same table (the
     round-2 verdict ask — this was the last gate-less scoring stage).
     The float ppl is then a deterministic function exp(-(micro/1e6)/n)
@@ -62,6 +65,7 @@ class PerplexityScorer:
     def __init__(self, text_col: str = "text", alpha: float = 0.1):
         self.text_col = text_col
         self.logp_micro = _build_logp_micro(alpha)
+        self._logp_flat = self.logp_micro.ravel()  # [(b0 << 8) | b1]
 
     # ---- scalar reference (tests + single-doc API)
     def nll_micro_one(self, text: str) -> tuple[int, int]:
@@ -81,34 +85,35 @@ class PerplexityScorer:
         nll, n_pairs = self.nll_micro_one(text)
         return float(math.exp((nll / _MICRO) / n_pairs))
 
-    # ---- vectorized batch core: one gather over the whole Arrow buffer
-    def _batch_nll(self, col: pa.Array) -> tuple[np.ndarray, np.ndarray, int]:
-        """(nll_micro int64 per doc, byte lens int64 per doc, n)."""
-        lowered = pc.utf8_lower(pc.fill_null(col, "") if col.null_count else col)
-        if isinstance(lowered, pa.ChunkedArray):
-            lowered = lowered.combine_chunks()
-        n = len(lowered)
-        bufs = lowered.buffers()
-        off_dtype = np.int64 if pa.types.is_large_string(lowered.type) else np.int32
-        offsets = np.frombuffer(bufs[1], dtype=off_dtype)[lowered.offset:lowered.offset + n + 1]
-        data = np.frombuffer(bufs[2], dtype=np.uint8) if bufs[2] is not None else np.empty(0, np.uint8)
-        starts = offsets[:-1].astype(np.int64)
-        ends = offsets[1:].astype(np.int64)
-        lens = ends - starts
-        if len(data) < 2:
-            return np.zeros(n, dtype=np.int64), lens, n
-        lp = self.logp_micro[data[:-1], data[1:]]    # all adjacent byte pairs
-        cs = np.cumsum(lp)                           # EXACT int64 prefix sums
-        # one sentinel past the end: a TRAILING empty doc has
-        # starts == len(data), one past the last prefix sum (latent
-        # IndexError in the pre-quantization version of this path)
-        cum = np.concatenate(([0], cs, cs[-1:]))
-        # pairs fully inside a doc: positions [start, end-2] of lp
-        totals = cum[np.maximum(ends - 1, starts)] - cum[starts]
-        return -totals, lens, n
+    # ---- vectorized batch core: one flat gather over the whole Arrow
+    # buffer, one segment sum per doc
+    def _batch_nll(self, col) -> tuple[np.ndarray, np.ndarray]:
+        """(nll_micro int64 per doc, 0 under 2 bytes; byte lens int64 per doc)."""
+        off, data = string_view(pc.utf8_lower(col))  # nulls read as ""
+        lens = np.diff(off)
+        nll = np.zeros(len(lens), dtype=np.int64)
+        b = data[off[0]:off[-1]]
+        scored = np.flatnonzero(lens >= 2)
+        if not len(scored):
+            return nll, lens
+        # all adjacent byte pairs, as one index (b0 << 8) | b1 each
+        pairs = b[:-1].astype(np.uint16)
+        pairs <<= 8
+        pairs |= b[1:]
+        # every uint16 index is in range: mode='clip' only skips the bounds check
+        lp = np.take(self._logp_flat, pairs, mode="clip")
+        # a doc's pairs are lp[start, end - 1); the segments in between
+        # (the pair across a boundary, docs under 2 bytes) are dropped
+        bounds = np.empty(2 * len(scored), dtype=np.int64)
+        bounds[0::2] = off[scored] - off[0]
+        bounds[1::2] = off[scored + 1] - off[0] - 1
+        if bounds[-1] == len(lp):  # the last doc runs to the end of lp
+            bounds = bounds[:-1]
+        nll[scored] = -np.add.reduceat(lp, bounds)[0::2]  # EXACT int64 sums
+        return nll, lens
 
-    def _batch_ppl(self, col: pa.Array) -> np.ndarray:
-        nll, lens, n = self._batch_nll(col)
+    def _batch_ppl(self, col) -> np.ndarray:
+        nll, lens = self._batch_nll(col)
         counts = np.maximum(lens - 1, 1).astype(np.float64)
         ppl = np.minimum(np.exp((nll / _MICRO) / counts), 3.4e38)
         ppl[lens < 2] = np.inf  # after the cap: scalar parity (ppl_one -> inf)
@@ -117,21 +122,14 @@ class PerplexityScorer:
     def nll_batch(self, batch: pa.Table) -> pa.Table:
         """SQL-twin output: exact integers only (doc_id join keys stay in
         the caller's table)."""
-        col = batch[self.text_col]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        nll, lens, _ = self._batch_nll(col)
-        nll = np.where(lens >= 2, nll, 0)
+        nll, lens = self._batch_nll(batch[self.text_col])
         batch = batch.append_column("nll_micro", pa.array(nll, type=pa.int64()))
         batch = batch.append_column(
             "n_pairs", pa.array(np.maximum(lens - 1, 0), type=pa.int64()))
         return batch
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        col = batch[self.text_col]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        ppl = self._batch_ppl(col)
+        ppl = self._batch_ppl(batch[self.text_col])
         return batch.append_column("ppl", pa.array(ppl, type=pa.float32()))
 
 
