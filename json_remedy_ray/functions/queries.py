@@ -1384,15 +1384,16 @@ def filter_pipeline_documents(sf_dir: str, broadcast_max: int = 1 << 25):
     Drop routing is GUARDED (round-4 verdict #2): on real web crawls
     whole-page duplicates are 30-50% of the corpus, so the drop set is
     NOT assumed small.  Up to ``broadcast_max`` drop ids (8 bytes each;
-    default 32M = 256 MB) the sorted array broadcasts once via ray.put
-    and the decide stage stays a plain map_batches; past that the drop
-    ids route back through a doc_id-bucket cogroup (the line_dedup
-    fallback pattern, dedup.py:1284) so the keep/drop decision never
+    default 32M = 256 MB) one task merges them into a sorted array
+    that broadcasts to the decide stage, a plain map_batches; past
+    that the drop ids route back through a doc_id-bucket cogroup (the
+    line_dedup fallback pattern) so the keep/drop decision never
     materializes on the driver."""
     from json_remedy_ray.functions.vhash import hash_strings
     from json_remedy_ray.stages.textstats import gopher_ngram_repetition_batch
     from json_remedy_ray.state.partitioning import (
         bucket_exchange,
+        merge_sorted,
         partition_by_bucket,
     )
 
@@ -1470,7 +1471,7 @@ def filter_pipeline_documents(sf_dir: str, broadcast_max: int = 1 << 25):
 
     # ONE materialization of the planted corpus: the exchange and the
     # decide pass both read these refs (otherwise plant re-executes)
-    planted = rd.from_arrow_refs(planted.to_arrow_refs())
+    planted = planted.materialize()
     _, reduced = bucket_exchange(planted.to_arrow_refs(), n_buckets, part, red)
 
     _OUT_SCHEMA = pa.schema([("doc_id", pa.int64()),
@@ -1512,18 +1513,16 @@ def filter_pipeline_documents(sf_dir: str, broadcast_max: int = 1 << 25):
             m[in_range] = sorted_drops[pos[in_range]] == ids[in_range]
         return m
 
-    all_drops = rd.from_arrow_refs(reduced)
-    n_drops = all_drops.count()          # metadata count over the refs
+    # one task merges the drop ids into one sorted array; the driver
+    # fetches only the count
+    n_ref, drop_ref = merge_sorted(reduced, ["doc_id"], broadcast_max)
 
-    if n_drops <= broadcast_max:
-        drops = all_drops.to_pandas()
-        drop_ids = (np.sort(drops["doc_id"].to_numpy(dtype=np.int64))
-                    if not drops.empty else np.empty(0, np.int64))
-        drop_ref = ray.put(drop_ids)
+    if ray.get(n_ref) <= broadcast_max:
 
         def decide(batch: pa.Table) -> pa.Table:
             ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-            return decide_core(batch, dup_mask(ids, ray.get(drop_ref)))
+            (drop_ids,) = ray.get(drop_ref)
+            return decide_core(batch, dup_mask(ids, drop_ids))
 
         return planted.map_batches(decide, batch_format="pyarrow",
                                    batch_size=None)
@@ -1556,6 +1555,7 @@ def filter_pipeline_documents(sf_dir: str, broadcast_max: int = 1 << 25):
             "is_drop": pa.array(np.ones(len(ids), dtype=bool)),
         })
 
+    all_drops = rd.from_arrow_refs(reduced)
     tagged = (planted.map_batches(tag_docs, batch_format="pyarrow",
                                   batch_size=None)
               .union(all_drops.map_batches(tag_drops, batch_format="pyarrow",

@@ -15,6 +15,13 @@ objects in the hot path.
     window hash w(j,k)  = (A[j+k] - A[j]) * P**-pos_j, position-free,
                           where A = cumsum(b_i * P**pos_i) per slice
 
+A slice's doc sums need no per-doc byte positions: ``G = P**g`` over
+the slice's global byte positions g (one in-place cumprod), ``b * G``
+in place, one ``np.add.reduceat`` over the non-empty docs' starts, and
+a per-doc multiply by the inverse of ``G[start]`` (odd, so invertible
+mod 2**64; five Newton steps per doc) give the same sums as the
+per-doc positions above.  Empty docs sum to 0.
+
 Memory is bounded by slicing each batch into runs of documents whose
 combined byte length is <= _SLICE_BYTES; each slice is fully vectorized.
 """
@@ -91,21 +98,39 @@ def _doc_slices(offsets: np.ndarray) -> list[tuple[int, int]]:
     return slices
 
 
+def _inv_odd(a: np.ndarray) -> np.ndarray:
+    """Inverse mod 2**64 of odd uint64 values by Newton's iteration
+    ``x *= 2 - a*x``: ``x = a`` is right in the low 3 bits (a*a = 1 mod 8)
+    and each step doubles that, so five steps cover 64 bits."""
+    x = a.copy()
+    for _ in range(5):
+        x *= np.uint64(2) - a * x
+    return x
+
+
 def hash_strings(col, *, seed: int = 0) -> np.ndarray:
     """uint64 content hash per string (nulls hash as empty strings)."""
     offsets, data = (col if isinstance(col, tuple) else string_view(col))
     n = len(offsets) - 1
-    out = np.empty(n, dtype=np.uint64)
+    out = np.zeros(n, dtype=np.uint64)
     for lo, hi in _doc_slices(offsets):
         s, e = offsets[lo], offsets[hi]
-        b = data[s:e].astype(np.uint64)
+        starts = offsets[lo:hi] - s
         lens = offsets[lo + 1:hi + 1] - offsets[lo:hi]
-        pos = np.arange(e - s, dtype=np.int64) - np.repeat(offsets[lo:hi] - s, lens)
-        pow_t, _ = _pow_tables(int(lens.max()) if len(lens) else 0)
-        contrib = b * pow_t[pos]
-        A = np.concatenate(([np.uint64(0)], np.cumsum(contrib, dtype=np.uint64)))
-        h = A[offsets[lo + 1:hi + 1] - s] - A[offsets[lo:hi] - s]
-        out[lo:hi] = h ^ (lens.astype(np.uint64) * _LEN_MIX)
+        ne = np.flatnonzero(lens)
+        if len(ne):
+            # G = P**g over the slice's global byte positions g; a doc's
+            # sum of b_i * P**(start+i) is P**start times its hash
+            G = np.empty(e - s, dtype=np.uint64)
+            G[0] = 1
+            G[1:] = _P
+            np.cumprod(G, out=G)
+            g_start = G[starts[ne]]
+            np.multiply(data[s:e], G, out=G)
+            # non-empty starts are strictly increasing, so each reduceat
+            # segment is exactly one doc (empty docs in between own no bytes)
+            out[lo + ne] = np.add.reduceat(G, starts[ne]) * _inv_odd(g_start)
+        out[lo:hi] ^= lens.astype(np.uint64) * _LEN_MIX
     out ^= np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
     return _mix64(out)
 

@@ -1155,11 +1155,14 @@ def line_dedup(ds: rd.Dataset, id_col: str = "doc_id",
          line text is compared inside equal-hash runs, so a 64-bit
          collision can never merge two different lines.  Losing
          (doc_id, line_no) pairs are the global drops.
-      3. Drops route back to documents by the cheapest applicable path:
-         the common case broadcasts the sorted drop array (16 bytes per
-         drop) and rebuilds in a plain map_batches — the corpus text
-         never shuffles; a pathological drop set falls back to a
-         doc-bucket cogroup that shuffles the corpus once.
+      3. Drops route back to documents by the cheapest applicable path.
+         ONE task (state/partitioning.merge_sorted) merges every side
+         and reduce output into a sorted (doc_id, line_no) array pair,
+         and the driver sees only the drop count.  The common case
+         broadcasts that pair (16 bytes per drop) and rebuilds in a
+         plain map_batches — the corpus text never shuffles; a
+         pathological drop set falls back to a doc-bucket cogroup that
+         shuffles the corpus once.
     Size n_buckets ~ 4-8x cluster cores so buckets stay parallel and
     bounded.  The exchange and the rebuild both consume the one
     materialized set of corpus block refs (spill-backed); a production
@@ -1170,6 +1173,7 @@ def line_dedup(ds: rd.Dataset, id_col: str = "doc_id",
 
     from json_remedy_ray.state.partitioning import (
         bucket_exchange,
+        merge_sorted,
         partition_by_bucket,
     )
 
@@ -1250,10 +1254,10 @@ def line_dedup(ds: rd.Dataset, id_col: str = "doc_id",
 
     # ONE materialization of the corpus: the (doc_id, text) blocks land
     # in the object store (spill-backed); the exchange and the rebuild
-    # both read the refs with a flat InputData plan — without this, each
-    # consumer re-executes the upstream read.  This is the in-memory
-    # form of the production parquet checkpoint.
-    ds = rd.from_arrow_refs(ds.to_arrow_refs())
+    # both read them — without this, each consumer re-executes the
+    # upstream read.  This is the in-memory form of the production
+    # parquet checkpoint.
+    ds = ds.materialize()
 
     # ---- global winner resolution: raw-task bucket exchange ----------
     # Ray Data's groupby pays a measured ~8 s fixed sort-shuffle floor
@@ -1267,24 +1271,21 @@ def line_dedup(ds: rd.Dataset, id_col: str = "doc_id",
         side=True)
 
     # ---- route the drops to the documents ----------------------------
-    # Drops are 16-byte rows; count them first (cheap — the corpus text
-    # never moves for this).  The common case (organic dup rates) fits
-    # comfortably in the object store as ONE sorted array pair, so the
-    # rebuild becomes a plain map_batches over the corpus blocks with a
-    # broadcast searchsorted lookup — NO text shuffle at all.  Only a
-    # pathological drop set (more than ``broadcast_max`` rows) falls
-    # back to the doc-bucket cogroup, which shuffles the corpus once.
-    all_drops = rd.from_arrow_refs(side_refs + reduced_refs)
-    n_drops = all_drops.count()
+    # Drops are 16-byte rows; ONE task merges every side and reduce
+    # output into a sorted (doc_id, line_no) array pair and the driver
+    # fetches only the count (the corpus text never moves for this).
+    # The common case (organic dup rates) fits comfortably in the object
+    # store as that one pair, so the rebuild becomes a plain map_batches
+    # over the corpus blocks with a broadcast searchsorted lookup — NO
+    # text shuffle at all.  Only a pathological drop set (more than
+    # ``broadcast_max`` rows) falls back to the doc-bucket cogroup,
+    # which shuffles the corpus once.
+    drop_refs = side_refs + reduced_refs
+    n_ref, drops_ref = merge_sorted(drop_refs, ["doc_id", "line_no"],
+                                    broadcast_max)
     # default broadcast_max: 32M rows = 512 MB of drop pairs
 
-    if n_drops <= broadcast_max:
-        dpdf = all_drops.to_pandas()
-        d_ids = dpdf["doc_id"].to_numpy().astype(np.int64)
-        d_nos = dpdf["line_no"].to_numpy().astype(np.int64)
-        order = np.lexsort((d_nos, d_ids))
-        drops_ref = ray.put((d_ids[order], d_nos[order]))
-
+    if ray.get(n_ref) <= broadcast_max:
         def rebuild_map(batch: pa.Table) -> pa.Table:
             bd_ids, bd_nos = ray.get(drops_ref)
             col = batch[text_col]
@@ -1353,6 +1354,7 @@ def line_dedup(ds: rd.Dataset, id_col: str = "doc_id",
             "text": pa.nulls(len(batch), pa.string()),
         })
 
+    all_drops = rd.from_arrow_refs(drop_refs)
     tagged = (ds.map_batches(tag_docs, batch_format="pyarrow", batch_size=None)
                 .union(all_drops.map_batches(tag_drops, batch_format="pyarrow",
                                              batch_size=None)))
@@ -1700,6 +1702,7 @@ def crossdoc_span_dedup(ds: rd.Dataset, n: int = 8, n_buckets: int = 32,
 
     from json_remedy_ray.state.partitioning import (
         bucket_exchange,
+        merge_sorted,
         partition_by_bucket,
     )
 
@@ -1746,8 +1749,8 @@ def crossdoc_span_dedup(ds: rd.Dataset, n: int = 8, n_buckets: int = 32,
                          "e": pa.array(p[remove] + n)}).cast(_SPAN_SCHEMA)
 
     # ONE materialization: the occurrence exchange and the rebuild both
-    # read these refs (otherwise the upstream plan executes twice)
-    ds = rd.from_arrow_refs(ds.to_arrow_refs())
+    # read these blocks (otherwise the upstream plan executes twice)
+    ds = ds.materialize()
     _, reduced = bucket_exchange(ds.to_arrow_refs(), n_buckets,
                                  part_occ, reduce_spans)
 
@@ -1812,23 +1815,12 @@ def crossdoc_span_dedup(ds: rd.Dataset, n: int = 8, n_buckets: int = 32,
             col = pc.fill_null(col, "")
         return col
 
-    all_spans = rd.from_arrow_refs(reduced)
-    n_spans = all_spans.count()          # metadata count over the refs
+    # one task merges the span tables into a sorted (doc_id, s, e)
+    # array set; the driver fetches only the count
+    n_ref, spans_ref = merge_sorted(reduced, ["doc_id", "s", "e"],
+                                    broadcast_max)
 
-    if n_spans <= broadcast_max:
-        spans = all_spans.to_pandas()
-        if spans.empty:
-            # Ray's to_pandas() on a zero-row dataset is COLUMN-LESS
-            # (the _partial_agg gotcha): a clean corpus with no
-            # cross-doc grams must still rebuild every doc unchanged
-            spans = pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                                  "s": pd.Series([], dtype="int64"),
-                                  "e": pd.Series([], dtype="int64")})
-        spans = spans.sort_values(["doc_id", "s"])
-        spans_ref = ray.put((spans["doc_id"].to_numpy(dtype=np.int64),
-                             spans["s"].to_numpy(dtype=np.int64),
-                             spans["e"].to_numpy(dtype=np.int64)))
-
+    if ray.get(n_ref) <= broadcast_max:
         def rebuild(batch: pa.Table) -> pa.Table:
             sdoc, ss, se = ray.get(spans_ref)
             ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1866,6 +1858,7 @@ def crossdoc_span_dedup(ds: rd.Dataset, n: int = 8, n_buckets: int = 32,
             "e": batch["e"].cast(pa.int64()),
         })
 
+    all_spans = rd.from_arrow_refs(reduced)
     tagged = (ds.map_batches(tag_docs, batch_format="pyarrow",
                              batch_size=None)
               .union(all_spans.map_batches(tag_spans, batch_format="pyarrow",

@@ -300,6 +300,32 @@ def bucket_exchange(refs, n_buckets: int, partition_fn, reduce_fn,
     return side_refs, reduced
 
 
+def merge_sorted(refs, cols: list[str], max_rows: int):
+    """Merge many small Arrow tables (one ref at least, e.g. an
+    exchange's reduce outputs) into ONE sorted array set in one remote
+    task, so the driver never pulls them through a Dataset.
+
+    Returns ``(n_ref, cols_ref)``: ``n_ref`` holds the total row count,
+    summed before anything is concatenated; ``cols_ref`` holds the
+    ``cols`` as int64 numpy arrays sorted lexicographically by ``cols``
+    in that order, or ``None`` when the count exceeds ``max_rows`` (the
+    caller then takes its shuffle path over the same refs).  Zero rows
+    give empty arrays, never a column-less frame."""
+    import ray
+
+    @ray.remote(num_returns=2)
+    def _merge(*tables):
+        n = sum(t.num_rows for t in tables)
+        if n > max_rows:
+            return n, None
+        arrs = [np.concatenate([t[c].to_numpy().astype(np.int64, copy=False)
+                                for t in tables]) for c in cols]
+        order = np.lexsort(arrs[::-1])
+        return n, tuple(a[order] for a in arrs)
+
+    return _merge.remote(*refs)
+
+
 def partition_by_bucket(tbl: pa.Table, bucket_col: str,
                         n_buckets: int) -> list[pa.Table]:
     """Split one table into ``n_buckets`` slices by an int bucket column

@@ -339,6 +339,39 @@ def test_line_dedup_first_occurrence_wins(ray_session):
     pd.testing.assert_frame_equal(out, out_cg)
 
 
+# an empty drop set still broadcasts at broadcast_max=0; -1 forces the
+# cogroup fallback
+@pytest.mark.parametrize("broadcast_max", [1 << 25, 0, -1])
+def test_line_dedup_no_duplicate_line(ray_session, broadcast_max):
+    """A corpus with no repeated line has an empty drop set: every doc
+    comes back whole on both routing paths (an empty drop set once
+    reached the rebuild as a column-less frame)."""
+    import ray.data as rd
+
+    from json_remedy_ray.stages.dedup import line_dedup
+
+    out = line_dedup(rd.from_items([{"doc_id": 1, "text": "a\nb"}]),
+                     broadcast_max=broadcast_max).to_pandas()
+    assert out["doc_id"].tolist() == [1]
+    assert out["n_lines"].tolist() == [2]
+    assert out["n_kept"].tolist() == [2]
+    assert out["text_dedup"].tolist() == ["a\nb"]
+
+
+@pytest.mark.parametrize("broadcast_max", [1 << 25, 0, -1])
+def test_line_dedup_zero_rows(ray_session, broadcast_max):
+    """A zero-row corpus gives zero rows on both routing paths."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from json_remedy_ray.stages.dedup import line_dedup
+
+    empty = pa.table({"doc_id": pa.array([], pa.int64()),
+                      "text": pa.array([], pa.string())})
+    out = line_dedup(rd.from_arrow(empty), broadcast_max=broadcast_max)
+    assert out.count() == 0
+
+
 def test_paragraph_dedup_multichar_sep(ray_session):
     """line_dedup with sep='\\n\\n' dedups whole paragraphs: single
     newlines stay inside a unit, and both routing paths (broadcast and
