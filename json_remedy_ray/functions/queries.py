@@ -780,7 +780,7 @@ def dedup_rate_by_source(sf_dir: str, n_buckets: int = 32):
     )
 
     ds = _read(sf_dir, "documents", columns=["source", "text"])
-    ds = rd.from_arrow_refs(ds.to_arrow_refs())   # one read, two passes
+    ds = ds.materialize()   # one read, two passes
 
     _MID = pa.schema([("source", pa.string()), ("h", pa.int64())])
 
@@ -997,7 +997,7 @@ def epoch_expand_documents(sf_dir: str, budget_mult: int = 3,
     n_by_src = {s: int(v) for s, v in zip(plan["source"], plan["n_docs"])}
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "source"])
-    ds = rd.from_arrow_refs(ds.to_arrow_refs())   # one read, >=2 passes
+    ds = ds.materialize()   # one read, >=2 passes
 
     PULL_CAP = int(pull_cap)    # candidate rows one resolve may pull
     NB = int(nb)                # histogram buckets per refinement round
@@ -2820,7 +2820,7 @@ def vocab_oov_rate(sf_dir: str, min_count: int = 5):
     from json_remedy_ray.stages.textstats import block_token_counts
 
     ds = _read(sf_dir, "documents", columns=["source", "text"])
-    ds = rd.from_arrow_refs(ds.to_arrow_refs())   # one read, two passes
+    ds = ds.materialize()   # one read, two passes
 
     def partial(batch: pa.Table) -> pa.Table:
         toks, cnts = block_token_counts(batch["text"])
@@ -2968,7 +2968,7 @@ def top_bigrams_pmi(sf_dir: str, k: int = 20, min_count: int = 5):
     top_tokens_corpus posture — an open-web bigram domain swaps in the
     Misra-Gries prefilter, stages/sketch.py).  FULL SQL oracle."""
     ds = _read(sf_dir, "documents", columns=["text"])
-    ds = rd.from_arrow_refs(ds.to_arrow_refs())   # one read, two passes
+    ds = ds.materialize()   # one read, two passes
 
     def uni_partial(batch: pa.Table) -> pa.Table:
         from json_remedy_ray.stages.textstats import block_token_counts
@@ -3053,7 +3053,7 @@ def tfidf_topk_terms(sf_dir: str, k: int = 5):
     import ray as _ray
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    ds = rd.from_arrow_refs(ds.to_arrow_refs())   # one read, two passes
+    ds = ds.materialize()   # one read, two passes
 
     def _doc_tokens(batch: pa.Table):
         """(doc_id repeated per token, token) — lowered whitespace split,
@@ -3306,7 +3306,7 @@ def ccnet_ppl_buckets(sf_dir: str):
     import math  # noqa: F401
 
     scored0 = corpus_bigram_nll(sf_dir)
-    scored0 = rd.from_arrow_refs(scored0.to_arrow_refs())
+    scored0 = scored0.materialize()
 
     def qmean_b(batch: pa.Table) -> pa.Table:
         nll = batch["nll_micro"].to_numpy(zero_copy_only=False)
@@ -3315,9 +3315,8 @@ def ccnet_ppl_buckets(sf_dir: str):
         return pa.table({"doc_id": batch["doc_id"],
                          "qmean_nll": pa.array(qmean, type=pa.int64())})
 
-    scored = rd.from_arrow_refs(
-        scored0.map_batches(qmean_b, batch_format="pyarrow",
-                            batch_size=None).to_arrow_refs())
+    scored = scored0.map_batches(qmean_b, batch_format="pyarrow",
+                                 batch_size=None).materialize()
 
     def hist(batch: pa.Table) -> pa.Table:
         g = batch.group_by("qmean_nll").aggregate([("qmean_nll", "count")])
@@ -3369,7 +3368,7 @@ def ppl_buckets_by_source(sf_dir: str):
     )
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "source", "text"])
-    ds = rd.from_arrow_refs(ds.to_arrow_refs())   # one read, three passes
+    ds = ds.materialize()   # one read, three passes
 
     pdf = _partial_agg(ds, bigram_count_partial, ["w1", "w2"], {"c": "sum"})
     v = int(pdf["w2"].nunique())
@@ -3390,7 +3389,7 @@ def ppl_buckets_by_source(sf_dir: str):
                          "qmean_nll": pa.array(qmean, type=pa.int64())})
 
     scored = ds.map_batches(score, batch_format="pyarrow", batch_size=None)
-    scored = rd.from_arrow_refs(scored.to_arrow_refs())
+    scored = scored.materialize()
 
     def hist(batch: pa.Table) -> pa.Table:
         g = batch.group_by(["source", "qmean_nll"]).aggregate(
@@ -3556,7 +3555,7 @@ def corpus_datacard(sf_dir: str):
 
     ds = _read(sf_dir, "documents",
                columns=["doc_id", "source", "lang", "text"])
-    ds = rd.from_arrow_refs(ds.to_arrow_refs())   # one read, four passes
+    ds = ds.materialize()   # one read, four passes
 
     def scalars(batch: pa.Table) -> pa.Table:
         toks = ws_token_counts_batch(batch["text"])

@@ -2,8 +2,8 @@
 
 read_parquet(webpages, columns pruned — `html` is NEVER projected)
   -> repair        (five-layer repair, zero-copy Arrow)
-  -> heuristics    (C4/Gopher features, vectorized)
-  -> langid + perplexity scoring
+  -> scorers       (FusedScorer: heuristics + langid from ONE byte scan
+                    of the text, then perplexity)
   -> scrub         (PII/toxicity regex, pre-filtered)
   -> decide        (numpy keep/drop projection)
   [-> host bucketing -> partitioned parquet + per-partition manifests]
@@ -20,7 +20,15 @@ Execution shape (measured on this Ray build, 400k docs / 32 CPUs):
     pool would give, without breaking fusion: pools measured 15 s vs
     4.3 s for tasks).  For GB-scale models (real fastText/KenLM binaries)
     pass ``use_actor_pools=True`` — that is the north_rule actor-pool
-    path, paying one object-store handoff between pools.
+    path, paying one object-store handoff between pools.  Its default
+    pool leaves one CPU to the task stages (see
+    ``default_scorer_concurrency``).
+  - Heuristics and langid are one stage on both paths: they tokenize the
+    same bytes, so ``FusedScorer`` builds one ``TextScan`` per batch and
+    computes both from it (on perfbench flagship_mixed pages, one core,
+    the three scorers cost about 0.6x what they cost with a scan each).
+    The cascade still runs heuristics alone before its gate, and langid
+    and perplexity after it.
 """
 
 from __future__ import annotations
@@ -34,11 +42,12 @@ from json_remedy_ray.config import (
     RepairConfig,
 )
 from json_remedy_ray.stages.decide import decide_batch
-from json_remedy_ray.stages.heuristics import heuristics_batch
+from json_remedy_ray.stages.heuristics import append_features, heuristics_batch
 from json_remedy_ray.stages.langid import LangIdScorer
 from json_remedy_ray.stages.perplexity import PerplexityScorer
 from json_remedy_ray.stages.repair_stage import make_repair_fn
 from json_remedy_ray.stages.scrub import scrub_batch
+from json_remedy_ray.stages.textscan import TextScan
 
 # Input pruning: the repair stage must never materialize the `html` binary
 # column (SURVEY §4.2 memory row).
@@ -49,29 +58,45 @@ _WORKER_MODELS: dict = {}
 
 
 class FusedScorer:
-    """ONE actor class holding BOTH models (langid marker tables +
-    perplexity n-gram table): the actor-pool deployment then has a
-    single actor stage instead of two, halving the object-store hops
+    """ONE stage for the three scorers: heuristics, langid and perplexity.
+
+    Heuristics and langid read one ``TextScan`` of the batch (row
+    classes, letter runs, whitespace tokens, one packed lookup of markers
+    and stopwords, one RE2 letter split of the non-ASCII rows), so each
+    piece is computed once.  As an actor class it also holds BOTH models
+    (langid marker tables + perplexity n-gram table): the actor-pool
+    deployment has a single actor stage, halving the object-store hops
     between unfused stages (each stage boundary serializes the full
     batch through the store).  __init__ runs once per actor — the
     north_rule model-holding contract."""
 
     def __init__(self, text_col: str = "text"):
+        self.text_col = text_col
         self.langid = LangIdScorer(text_col=text_col)
         self.ppl = PerplexityScorer(text_col=text_col)
 
     def __call__(self, batch):
+        scan = TextScan(batch[self.text_col], self.langid.words)
+        return self.ppl(self.langid.append_scores(append_features(batch, scan), scan))
+
+    def score_models(self, batch):
+        """Langid and perplexity only: the cascade's stage after its gate."""
         return self.ppl(self.langid(batch))
 
 
-def _scorers_fn_factory(text_col: str):
-    def _score(batch):
-        key = ("models", text_col)
-        if key not in _WORKER_MODELS:
-            _WORKER_MODELS[key] = FusedScorer(text_col=text_col)
-        return _WORKER_MODELS[key](batch)
+def _worker_scorer(text_col: str) -> FusedScorer:
+    key = ("models", text_col)
+    if key not in _WORKER_MODELS:
+        _WORKER_MODELS[key] = FusedScorer(text_col=text_col)
+    return _WORKER_MODELS[key]
 
-    return _score
+
+def default_scorer_concurrency(cpus: int) -> int:
+    """Size of the fixed scorer actor pool on a cluster of ``cpus`` CPUs:
+    half of them, at least 2, but always leaving one CPU for the task
+    stages around the pool — a pool holding every CPU starves them and
+    the run never finishes (2 actors on 1 CPU did)."""
+    return max(1, min(max(2, cpus // 2), cpus - 1))
 
 
 def quality_filter(
@@ -85,7 +110,6 @@ def quality_filter(
     """Apply the full filter chain to a Dataset with a ``text`` column."""
     kw = dict(batch_format="pyarrow", batch_size=None)
     ds = ds.map_batches(make_repair_fn(repair_config, text_col=text_col), **kw)
-    ds = ds.map_batches(lambda b: heuristics_batch(b, text_col=text_col), **kw)
     if use_actor_pools:
         if scorer_concurrency is None:
             import ray as _ray
@@ -93,16 +117,15 @@ def quality_filter(
             cpus = int(_ray.cluster_resources().get("CPU", 8)) if _ray.is_initialized() else 8
             # FIXED pool, not (1, N) autoscaling (autoscale-from-1 ramps
             # too slowly and bottlenecks the chain: 20.6 s vs 15.3 s at
-            # 1.2M docs / 32 CPUs); ONE pool holds BOTH models (see
-            # FusedScorer) — half the CPUs score, the rest run the fused
-            # task stages around it
-            scorer_concurrency = max(2, cpus // 2)
+            # 1.2M docs / 32 CPUs); ONE pool holds all three scorers (see
+            # FusedScorer)
+            scorer_concurrency = default_scorer_concurrency(cpus)
         ds = ds.map_batches(
             FusedScorer, fn_constructor_kwargs={"text_col": text_col},
             concurrency=scorer_concurrency, **kw,
         )
     else:
-        ds = ds.map_batches(_scorers_fn_factory(text_col), **kw)
+        ds = ds.map_batches(lambda b: _worker_scorer(text_col)(b), **kw)
     ds = ds.map_batches(lambda b: scrub_batch(b, text_col=text_col), **kw)
     ds = ds.map_batches(lambda b: decide_batch(b, filter_config), **kw)
     return ds
@@ -142,7 +165,7 @@ def quality_filter_cascade(
         return b.filter(d["keep"])
 
     ds = ds.map_batches(gate, **kw)
-    ds = ds.map_batches(_scorers_fn_factory(text_col), **kw)
+    ds = ds.map_batches(lambda b: _worker_scorer(text_col).score_models(b), **kw)
     ds = ds.map_batches(lambda b: scrub_batch(b, text_col=text_col), **kw)
     ds = ds.map_batches(lambda b: decide_batch(b, filter_config), **kw)
     ds = ds.map_batches(lambda b: b.filter(b["keep"]), **kw)

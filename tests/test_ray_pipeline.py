@@ -92,6 +92,16 @@ def test_actor_pool_path_matches_task_path(webpages_dir):
         assert a[col].equals(b[col]), col
 
 
+@pytest.mark.parametrize("cpus,actors", [(1, 1), (2, 1), (3, 2), (4, 2), (32, 16)])
+def test_default_scorer_pool_leaves_a_cpu_for_the_tasks(cpus, actors):
+    """The fixed scorer pool is half the CPUs, at least 2, but never all
+    of them: on 1 CPU a 2-actor pool starves the task stages and the run
+    never finishes."""
+    from json_remedy_ray.pipelines.quality_filter import default_scorer_concurrency
+
+    assert default_scorer_concurrency(cpus) == actors
+
+
 def test_flagship_deterministic(webpages_dir):
     import ray.data as rd
 
