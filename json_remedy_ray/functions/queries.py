@@ -5505,42 +5505,25 @@ def scrub_documents(sf_dir: str):
 def heuristics_documents_sql(sf_dir: str):
     """C4/Gopher heuristic features as exact integers with a full DuckDB
     oracle (word/stopword/char-class counts; the float ratios in the
-    production stage are single divisions of these same integers)."""
-    from json_remedy_ray.stages.heuristics import EDGE_PUNCT_CHARS, STOPWORDS
+    production stage are single divisions of these same integers), read
+    from one ``TextScan`` with the heuristics stage's own counts."""
+    from json_remedy_ray.stages import heuristics as h
+    from json_remedy_ray.stages.textscan import TextScan
 
-    sw_arr = pa.array(sorted(STOPWORDS))
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def f(batch: pa.Table) -> pa.Table:
-        col = batch["text"].combine_chunks() if batch["text"].num_chunks != 1 else batch["text"]
-        n = len(col)
-        n_chars = pc.utf8_length(col)
-        words_list = pc.utf8_split_whitespace(col)
-        flat = pc.list_flatten(words_list)
-        parents = pc.list_parent_indices(words_list).to_numpy(zero_copy_only=False)
-        flat_lens = pc.utf8_length(flat).to_numpy(zero_copy_only=False)
-        word_count = np.bincount(parents[flat_lens > 0], minlength=n)
-        nonspace = np.bincount(parents, weights=flat_lens, minlength=n).astype(np.int64)
-        # full UWS class, NOT RE2's ASCII-only \s — the SQL twin below
-        # counts [^\pL + UWS], and NBSP-bearing web text would diverge
-        # (same class of bug as the round-3 heuristics/scrub \s fixes)
-        from json_remedy_ray.stages.textstats import UWS_RE2_CLASS as _U
-        non_alpha = pc.count_substring_regex(col, f"[^\\pL{_U}]").to_numpy(zero_copy_only=False)
-        alpha_space = n_chars.to_numpy(zero_copy_only=False) - non_alpha
-        norm = pc.utf8_lower(pc.utf8_trim(flat, EDGE_PUNCT_CHARS))
-        sw_mask = pc.is_in(norm, value_set=sw_arr).to_numpy(zero_copy_only=False)
-        stopword_count = np.bincount(parents[sw_mask], minlength=n)
-        hashes = pc.count_substring(col, "#")
-        dots = pc.count_substring(col, "...")
+        scan = TextScan(batch["text"], h.STOPWORD_TABLE)
+        ws = h.ws_chars(scan)
         return pa.table({
             "doc_id": batch["doc_id"],
-            "n_chars": pc.cast(n_chars, pa.int64()),
-            "word_count": pa.array(word_count, type=pa.int64()),
-            "nonspace_chars": pa.array(nonspace, type=pa.int64()),
-            "alpha_space_chars": pa.array(alpha_space, type=pa.int64()),
-            "stopword_count": pa.array(stopword_count, type=pa.int64()),
-            "hash_count": pc.cast(hashes, pa.int64()),
-            "dots_count": pc.cast(dots, pa.int64()),
+            "n_chars": pa.array(scan.n_chars, type=pa.int64()),
+            "word_count": pa.array(h.word_count(scan), type=pa.int64()),
+            "nonspace_chars": pa.array(scan.n_chars - ws, type=pa.int64()),
+            "alpha_space_chars": pa.array(h.letter_count(scan) + ws, type=pa.int64()),
+            "stopword_count": pa.array(h.stopword_hits(scan), type=pa.int64()),
+            "hash_count": pa.array(h.hash_count(scan), type=pa.int64()),
+            "dots_count": pa.array(h.ellipsis_count(scan), type=pa.int64()),
         })
 
     return ds.map_batches(f, batch_format="pyarrow", batch_size=None)

@@ -2,8 +2,8 @@
 
 read_parquet(webpages, columns pruned — `html` is NEVER projected)
   -> repair        (five-layer repair, zero-copy Arrow)
-  -> scorers       (FusedScorer: heuristics + langid from ONE byte scan
-                    of the text, then perplexity)
+  -> scorers       (FusedScorer: heuristics, langid and perplexity
+                    from ONE byte scan of the text)
   -> scrub         (PII/toxicity regex, pre-filtered)
   -> decide        (numpy keep/drop projection)
   [-> host bucketing -> partitioned parquet + per-partition manifests]
@@ -23,12 +23,12 @@ Execution shape (measured on this Ray build, 400k docs / 32 CPUs):
     path, paying one object-store handoff between pools.  Its default
     pool leaves one CPU to the task stages (see
     ``default_scorer_concurrency``).
-  - Heuristics and langid are one stage on both paths: they tokenize the
-    same bytes, so ``FusedScorer`` builds one ``TextScan`` per batch and
-    computes both from it (on perfbench flagship_mixed pages, one core,
-    the three scorers cost about 0.6x what they cost with a scan each).
-    The cascade still runs heuristics alone before its gate, and langid
-    and perplexity after it.
+  - The three scorers are one stage on both paths: they read the same
+    bytes, so ``FusedScorer`` builds one ``TextScan`` per batch and
+    computes all three from it (on perfbench flagship_mixed pages, one
+    core, the three scorers cost about 0.6x what they cost with a scan
+    each).  The cascade still runs heuristics alone before its gate, and
+    langid and perplexity from one scan after it.
 """
 
 from __future__ import annotations
@@ -60,10 +60,10 @@ _WORKER_MODELS: dict = {}
 class FusedScorer:
     """ONE stage for the three scorers: heuristics, langid and perplexity.
 
-    Heuristics and langid read one ``TextScan`` of the batch (row
-    classes, letter runs, whitespace tokens, one packed lookup of markers
-    and stopwords, one RE2 letter split of the non-ASCII rows), so each
-    piece is computed once.  As an actor class it also holds BOTH models
+    The three read one ``TextScan`` of the batch (row classes, letter
+    runs, whitespace tokens, line breaks, one packed lookup of markers
+    and stopwords, the decoded code points of the non-ASCII rows and
+    their one ``utf8_lower``), so each piece is computed once.  As an actor class it also holds BOTH models
     (langid marker tables + perplexity n-gram table): the actor-pool
     deployment has a single actor stage, halving the object-store hops
     between unfused stages (each stage boundary serializes the full
@@ -77,11 +77,14 @@ class FusedScorer:
 
     def __call__(self, batch):
         scan = TextScan(batch[self.text_col], self.langid.words)
-        return self.ppl(self.langid.append_scores(append_features(batch, scan), scan))
+        return self._models(append_features(batch, scan), scan)
 
     def score_models(self, batch):
         """Langid and perplexity only: the cascade's stage after its gate."""
-        return self.ppl(self.langid(batch))
+        return self._models(batch, TextScan(batch[self.text_col], self.langid.words))
+
+    def _models(self, batch, scan):
+        return self.ppl.append_scores(self.langid.append_scores(batch, scan), scan)
 
 
 def _worker_scorer(text_col: str) -> FusedScorer:

@@ -13,7 +13,10 @@ walk tokens found by one compiled scanner, ``_SCAN_RE``, instead of
 characters.  One match skips ordinary text and whole double-quoted
 strings (unterminated ones included) in C and stops at the next bracket,
 comment opener or single quote, so a Python step is taken per such token
-rather than per character.
+rather than per character.  The balanced-structure search first tries
+one match of ``_BALANCED_RE``, which finds the whole structure in C when
+it nests at most 8 deep; the token walk stays its definition and runs
+only when that match fails.
 """
 
 from __future__ import annotations
@@ -27,6 +30,20 @@ from json_remedy_ray.repair.layer3 import DQ_STRING_RE, inside_string
 # a bracket, `//`, `/*` or a single quote, or "" at the end of the text
 _SCAN_RE = re.compile(r"(?:%s|[^\"{}\[\]/']++|/(?![/*]))*+([{}\[\]]|//|/\*|'|\Z)"
                       % DQ_STRING_RE.pattern, re.DOTALL)
+
+
+def _balanced_re(depth: int) -> re.Pattern:
+    """One {...} or [...] at the match start, closed by its own closer,
+    double-quoted strings skipped, brackets inside of either type and
+    nested at most ``depth`` deep in all: ``_find_balanced``'s token walk
+    in one match.  Possessive loops: no backtracking."""
+    body = r'(?:%s|[^"{}\[\]]++)*+' % DQ_STRING_RE.pattern
+    for _ in range(depth - 1):
+        body = r'(?:%s|[^"{}\[\]]++|[{\[]%s[}\]])*+' % (DQ_STRING_RE.pattern, body)
+    return re.compile(r"\{%s\}|\[%s\]" % (body, body), re.DOTALL)
+
+
+_BALANCED_RE = _balanced_re(8)
 # a single-quoted string opened at a structural position (remove_comments)
 _SQ_STRING_RE = re.compile(r"'[^'\\]*+(?:\\.[^'\\]*+)*+['\\]?", re.DOTALL)
 _BLOCK_MARK_RE = re.compile(r"/\*|\*/")
@@ -196,6 +213,9 @@ def extract_from_html_tags(s: str) -> tuple[str, list[Repair]]:
 def _find_balanced(s: str, start: int) -> int:
     """Return end index (exclusive) of the balanced {...}/[...] starting at
     ``start``, or -1.  String-aware."""
+    m = _BALANCED_RE.match(s, start)
+    if m:
+        return m.end()
     close_ch = "}" if s[start] == "{" else "]"
     depth = 0
     for m in _SCAN_RE.finditer(s, start):

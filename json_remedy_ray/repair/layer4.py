@@ -40,10 +40,13 @@ def _encode(value) -> str:
 # json.loads(s) for a str, minus its Python layers: the shared decoder's
 # C scanner, called at the first non-whitespace char.  json.loads fails
 # unless that char can start a value (NaN, Infinity and -Infinity
-# included), so other texts are refused without building an exception;
-# a value followed by more than whitespace is refused as "Extra data".
+# included), and fails on an object whose first member, after JSON
+# whitespace, is not a '"' or its '}' ("Expecting property name enclosed
+# in double quotes": {'a': 1}, {a: 1}), so those texts are refused without
+# building an exception; a value followed by more than whitespace is
+# refused as "Extra data".
 _scan_once = json.decoder.JSONDecoder().scan_once
-_json_value_start = re.compile(r'[ \t\n\r]*[{\["\-0-9tfnNI]').match
+_json_value_start = re.compile(r'[ \t\n\r]*(?=[\["\-0-9tfnNI]|\{[ \t\n\r]*["}])').match
 _json_ws_end = json.decoder.WHITESPACE.match
 
 
@@ -60,7 +63,7 @@ def try_fast_path(s: str):
     if m is None:
         return False, None
     try:
-        value, end = _scan_once(s, m.end() - 1)
+        value, end = _scan_once(s, m.end())
     except (StopIteration, RecursionError, ValueError):
         return False, None
     if _json_ws_end(s, end).end() != len(s):

@@ -11,16 +11,26 @@ integers; the logit is accumulated in fixed order with the same decimal
 literals the SQL uses; the score narrows to float32 so libm exp/ln ulp
 differences cancel; the keep decision compares the FLOAT32 score to the
 literal 0.5 on both sides.
+
+The features are the heuristics stage's counts (``stages/heuristics.py``)
+read from one ``TextScan``: whitespace tokens, letters (RE2's ``\\pL``)
+plus White_Space characters, and tokens that are a stopword once trimmed
+of edge punctuation and lowercased.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
-from json_remedy_ray.stages.heuristics import EDGE_PUNCT_CHARS, STOPWORDS
-from json_remedy_ray.stages.textstats import UWS_RE2_CLASS, pc_fill_null_empty
+from json_remedy_ray.stages.heuristics import (
+    STOPWORD_TABLE,
+    letter_count,
+    stopword_hits,
+    word_count,
+    ws_chars,
+)
+from json_remedy_ray.stages.textscan import TextScan
 
 # fixed classifier weights (documented constants, shared with the SQL)
 W_BIAS = -3.0
@@ -40,23 +50,11 @@ def quality_classifier_batch(batch: pa.Table, text_col: str = "text",
                  + 0.3 * min(stopword_count, 8)
     score = sigmoid(logit), narrowed to float32; keep = score >= 0.5.
     """
-    col = pc_fill_null_empty(batch[text_col])
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    n = len(col)
-    n_chars = pc.utf8_length(col).to_numpy(zero_copy_only=False).astype(np.int64)
-    toks = pc.utf8_split_whitespace(col)
-    flat = pc.list_flatten(toks)
-    parents = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
-    flat_lens = pc.utf8_length(flat).to_numpy(zero_copy_only=False)
-    wc = np.bincount(parents[flat_lens > 0], minlength=n).astype(np.int64)
-    non_alpha = pc.count_substring_regex(
-        col, f"[^\\pL{UWS_RE2_CLASS}]").to_numpy(zero_copy_only=False)
-    alpha_space = n_chars - non_alpha
-    norm = pc.utf8_lower(pc.utf8_trim(flat, EDGE_PUNCT_CHARS))
-    sw_mask = pc.is_in(norm, value_set=pa.array(sorted(STOPWORDS))).to_numpy(
-        zero_copy_only=False)
-    sw = np.minimum(np.bincount(parents[sw_mask], minlength=n), STOPW_CAP)
+    scan = TextScan(batch[text_col], STOPWORD_TABLE)  # a null row reads as ""
+    n_chars = scan.n_chars
+    wc = word_count(scan)
+    alpha_space = letter_count(scan) + ws_chars(scan)
+    sw = np.minimum(stopword_hits(scan), STOPW_CAP)
 
     logit = (W_BIAS
              + W_LOGWC * np.log(1 + wc.astype(np.float64))

@@ -7,8 +7,8 @@ lowercased; a document's score per language is how many of its tokens
 are that language's marker words, over its token count.
 
 The batch path reads a ``TextScan`` of the text column
-(``stages/textscan.py``), the byte scan heuristics reads too, and splits
-rows by a property of the input:
+(``stages/textscan.py``), the byte scan heuristics and perplexity read
+too, and splits rows by a property of the input:
 
 - ASCII rows: letters are ``[A-Za-z]``, so letter runs come from one
   byte mask over the whole batch.  A run no longer than the longest
@@ -16,11 +16,13 @@ rows by a property of the input:
   looked up in a collision-free hash table (``WordTable``, built in
   ``__init__`` with the heuristics stopwords in it too) — no regex
   split, no per-token strings.
-- Other rows: the RE2 ``[^\pL]+`` split (which also gives heuristics its
-  letter count), ``utf8_lower`` and ``index_in`` on just those rows,
-  plus the CJK count, which ASCII rows cannot have.  Lowercasing before
-  the split is not safe outside ASCII: the full lowercase of ``İ`` is
-  ``i`` plus a combining mark, which is not a letter.
+- Other rows: the scan's letter runs of their decoded code points
+  (letters as RE2's ``\pL`` has them), the short ones as one string
+  array over the bytes, ``utf8_lower`` and ``index_in`` on it, plus the
+  CJK count from the same code points, which ASCII rows cannot have.
+  Lowercasing before finding the runs is not safe outside ASCII: the
+  full lowercase of ``İ`` is ``i`` plus a combining mark, which is not
+  a letter.
 
 The scalar ``score_one`` takes Python's ``str.isalpha`` runs, which
 differ from RE2's ``\pL`` on 4,348 code points (U+11F04 among them).
@@ -53,8 +55,17 @@ _MARKERS: dict[str, str] = {
     "pt": "o a os as de e que um uma para com não se por mais dos como foi",
 }
 
-_CJK_RANGE = r"[\x{4E00}-\x{9FFF}\x{3400}-\x{4DBF}]"
-_CJK_RE = re.compile(r"[一-鿿㐀-䶿]")
+_CJK_RANGES = ((0x4E00, 0x9FFF), (0x3400, 0x4DBF))
+_CJK_RE = re.compile("[%s]" % "".join(f"{chr(a)}-{chr(b)}" for a, b in _CJK_RANGES))
+
+
+def cjk_count(scan: TextScan) -> np.ndarray:
+    """CJK ideographs in each non-ASCII row (``scan.other``)."""
+    rows, _, _, cp = scan.chars
+    in_cjk = np.zeros(len(cp), dtype=bool)
+    for lo, hi in _CJK_RANGES:
+        in_cjk |= (cp >= lo) & (cp <= hi)
+    return np.bincount(rows[in_cjk], minlength=len(scan.other))
 
 
 class LangIdScorer:
@@ -78,6 +89,7 @@ class LangIdScorer:
         # reads the stopwords from the same table
         self.words = WordTable(vocab, STOPWORDS)
         self.ascii_max_len = self.words.max_len
+        self.max_chars = max(map(len, vocab), default=0)
         self.detect_zh = "zh" in use
         self.cjk_re = _CJK_RE
         # lang_pred codes: a language index, then "und", then "zh"
@@ -122,12 +134,13 @@ class LangIdScorer:
         rows = scan.row_of(starts[runs[marker]])
         keep = scan.ascii_row[rows]
         hit_rows, hit_vocab = [rows[keep]], [ids[marker][keep]]
-        if len(other):  # other rows: the RE2 letter-run split
-            tok_rows, tok_lens, flat = scan.letter_split
-            n_words[other] = np.bincount(tok_rows[tok_lens > 0], minlength=n)[other]
-            idx = pc.index_in(pc.utf8_lower(flat), value_set=self.vocab_arr).to_numpy(zero_copy_only=False)
+        if len(other):  # other rows: their letter runs, lowered by Arrow
+            n_words[other] = np.bincount(scan.wide_runs[0], minlength=len(other))
+            run_rows, runs = scan.wide_words(self.max_chars)
+            idx = pc.index_in(pc.utf8_lower(runs), value_set=self.vocab_arr).to_numpy(zero_copy_only=False)
+            idx = idx[0::2]  # the odd entries are the text between runs
             found = ~np.isnan(idx) if idx.dtype.kind == "f" else idx >= 0
-            hit_rows.append(tok_rows[found])
+            hit_rows.append(other[run_rows[found]])
             hit_vocab.append(idx[found].astype(np.int64))
         rows = np.concatenate(hit_rows)
         tok_langs = self.marker_langs[np.concatenate(hit_vocab)]  # (n_hits, n_langs)
@@ -142,9 +155,8 @@ class LangIdScorer:
         code = np.where(best_hits > 0, best_k, len(self.lang_names))
         conf = np.where(best_hits > 0, conf, 0.0)
         if self.detect_zh and len(other):  # ASCII rows hold no CJK
-            n_chars = scan.n_chars[other]
-            cjk = pc.count_substring_regex(scan.sub, _CJK_RANGE).to_numpy(zero_copy_only=False)
-            frac = cjk / np.maximum(n_chars, 1)
+            cjk = cjk_count(scan)
+            frac = cjk / np.maximum(scan.n_chars[other], 1)
             is_zh = (cjk > 0) & (frac > 0.05)
             zh = other[is_zh]
             code[zh] = len(self.lang_names) + 1

@@ -5,9 +5,18 @@ smoothing stands in for a KenLM binary (not available in this
 container); the 256x256 log-prob table is built deterministically once
 per worker from an embedded seed text.  Byte-level (not char-level) is
 deliberate: the whole batch scores as ONE flat 65,536-entry gather over
-the Arrow string buffer (index ``(b0 << 8) | b1`` per byte pair) plus
+the Arrow string buffer (index ``b0 | (b1 << 8)`` per byte pair) plus
 one ``np.add.reduceat`` segment sum per document — zero per-document
 Python.  Swapping in a real KenLM changes only the table construction.
+
+The model reads lowercased text, but no lowered copy of the column is
+made: the batch path reads the ``TextScan`` bytes the other scorers
+read (``stages/textscan.py``).  ASCII rows are scored straight from
+them through a case-folded copy of the table (``[A-Z]`` bytes index
+the ``[a-z]`` entries), which is their lowercase exactly; only the
+non-ASCII rows, where Arrow's lowercase can change bytes and byte
+lengths (``İ`` -> ``i``), are lowered, with ``utf8_lower`` on the
+scan's ``sub``.
 
 Scores are deterministic pure functions of the text, so task retries
 are safe.
@@ -23,6 +32,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from json_remedy_ray.functions.vhash import string_view
+from json_remedy_ray.stages.textscan import TextScan
 
 # Embedded seed corpus (filler English written for this repo) — gives
 # common English byte transitions realistic mass.
@@ -65,7 +75,15 @@ class PerplexityScorer:
     def __init__(self, text_col: str = "text", alpha: float = 0.1):
         self.text_col = text_col
         self.logp_micro = _build_logp_micro(alpha)
-        self._logp_flat = self.logp_micro.ravel()  # [(b0 << 8) | b1]
+        # the batch path gathers from flat int32 copies indexed by
+        # b0 | (b1 << 8), the little-endian uint16 the pair's two bytes
+        # read as: every entry fits (the smallest is round(ln(1/256) * 1e6)),
+        # in half the cache of the int64 table; the sums stay int64
+        self._logp_flat = self.logp_micro.T.ravel().astype(np.int32)
+        # the same entries indexed by bytes before an ASCII lowercase
+        fold = np.arange(256)
+        fold[65:91] += 32  # [A-Z] -> [a-z]
+        self._logp_fold = self.logp_micro[fold[:, None], fold].T.ravel().astype(np.int32)
 
     # ---- scalar reference (tests + single-doc API)
     def nll_micro_one(self, text: str) -> tuple[int, int]:
@@ -87,50 +105,59 @@ class PerplexityScorer:
 
     # ---- vectorized batch core: one flat gather over the whole Arrow
     # buffer, one segment sum per doc
-    def _batch_nll(self, col) -> tuple[np.ndarray, np.ndarray]:
-        """(nll_micro int64 per doc, 0 under 2 bytes; byte lens int64 per doc)."""
-        off, data = string_view(pc.utf8_lower(col))  # nulls read as ""
-        lens = np.diff(off)
-        nll = np.zeros(len(lens), dtype=np.int64)
-        b = data[off[0]:off[-1]]
-        scored = np.flatnonzero(lens >= 2)
-        if not len(scored):
-            return nll, lens
-        # all adjacent byte pairs, as one index (b0 << 8) | b1 each
-        pairs = b[:-1].astype(np.uint16)
-        pairs <<= 8
-        pairs |= b[1:]
-        # every uint16 index is in range: mode='clip' only skips the bounds check
-        lp = np.take(self._logp_flat, pairs, mode="clip")
-        # a doc's pairs are lp[start, end - 1); the segments in between
-        # (the pair across a boundary, docs under 2 bytes) are dropped
-        bounds = np.empty(2 * len(scored), dtype=np.int64)
-        bounds[0::2] = off[scored] - off[0]
-        bounds[1::2] = off[scored + 1] - off[0] - 1
-        if bounds[-1] == len(lp):  # the last doc runs to the end of lp
-            bounds = bounds[:-1]
-        nll[scored] = -np.add.reduceat(lp, bounds)[0::2]  # EXACT int64 sums
+    def nll_scan(self, scan: TextScan) -> tuple[np.ndarray, np.ndarray]:
+        """(nll_micro int64 per doc, 0 under 2 bytes; lowercased byte
+        lens int64 per doc) of the text ``scan`` reads."""
+        nll, lens = _pair_sums(scan.rel, scan.b, self._logp_fold)
+        if len(scan.other):
+            off, data = string_view(pc.utf8_lower(scan.sub))
+            nll[scan.other], lens[scan.other] = _pair_sums(
+                off - off[0], data[off[0]:off[-1]], self._logp_flat)
         return nll, lens
 
-    def _batch_ppl(self, col) -> np.ndarray:
-        nll, lens = self._batch_nll(col)
+    def append_scores(self, batch: pa.Table, scan: TextScan) -> pa.Table:
+        """``batch`` with ``ppl`` computed from ``scan`` (a scan of its text column)."""
+        nll, lens = self.nll_scan(scan)
         counts = np.maximum(lens - 1, 1).astype(np.float64)
         ppl = np.minimum(np.exp((nll / _MICRO) / counts), 3.4e38)
         ppl[lens < 2] = np.inf  # after the cap: scalar parity (ppl_one -> inf)
-        return ppl.astype(np.float32)
+        return batch.append_column("ppl", pa.array(ppl.astype(np.float32), type=pa.float32()))
 
     def nll_batch(self, batch: pa.Table) -> pa.Table:
         """SQL-twin output: exact integers only (doc_id join keys stay in
         the caller's table)."""
-        nll, lens = self._batch_nll(batch[self.text_col])
+        nll, lens = self.nll_scan(TextScan(batch[self.text_col]))
         batch = batch.append_column("nll_micro", pa.array(nll, type=pa.int64()))
         batch = batch.append_column(
             "n_pairs", pa.array(np.maximum(lens - 1, 0), type=pa.int64()))
         return batch
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        ppl = self._batch_ppl(batch[self.text_col])
-        return batch.append_column("ppl", pa.array(ppl, type=pa.float32()))
+        return self.append_scores(batch, TextScan(batch[self.text_col]))
+
+
+def _pair_sums(rel: np.ndarray, b: np.ndarray, logp_flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(-sum of ``logp_flat[b0 | (b1 << 8)]`` over each row's adjacent
+    byte pairs, 0 under 2 bytes; byte lens) for rows ``b[rel[i]:rel[i + 1]]``."""
+    lens = np.diff(rel)
+    nll = np.zeros(len(lens), dtype=np.int64)
+    scored = np.flatnonzero(lens >= 2)
+    if not len(scored):
+        return nll, lens
+    # all adjacent byte pairs, as one index b0 | (b1 << 8) each: a
+    # little-endian uint16 view at byte stride, no copy
+    pairs = np.ndarray((len(b) - 1,), dtype="<u2", buffer=b, strides=(1,))
+    # every uint16 index is in range: mode='clip' only skips the bounds check
+    lp = np.take(logp_flat, pairs, mode="clip")
+    # a doc's pairs are lp[start, end - 1); the segments in between
+    # (the pair across a boundary, docs under 2 bytes) are dropped
+    bounds = np.empty(2 * len(scored), dtype=np.int64)
+    bounds[0::2] = rel[scored]
+    bounds[1::2] = rel[scored + 1] - 1
+    if bounds[-1] == len(lp):  # the last doc runs to the end of lp
+        bounds = bounds[:-1]
+    nll[scored] = -np.add.reduceat(lp, bounds, dtype=np.int64)[0::2]  # EXACT int64 sums
+    return nll, lens
 
 
 # ---- corpus-TRAINED word-bigram LM (the CCNet workflow) -------------

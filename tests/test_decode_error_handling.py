@@ -201,6 +201,20 @@ def test_preserves_original_input(inp):
     assert try_fast_path(inp) == (False, None)
 
 
+@pytest.mark.parametrize("inp", [
+    "{'a': 1}", "{a: 1}", "{\u201ca\u201d: 1}", "{ }", '{\t"a": 1}', '{\x0b"a": 1}',
+    ' \n{\r\n "a": {b: 1}}', "{}", '{"a": 1}', "{", "{ ", '[{"a": 1}, {a: 1}]', "{\n}",
+])
+def test_fast_path_agrees_with_json_loads(inp):
+    """Objects whose first member cannot be JSON are refused before the C
+    scanner runs; every answer is still json.loads's."""
+    try:
+        want = (True, json.loads(inp))
+    except json.JSONDecodeError:
+        want = (False, None)
+    assert try_fast_path(inp) == want
+
+
 def test_fast_path_failure_adds_no_repairs():
     # the fast path itself never fabricates repairs; repairs only appear
     # once the repair layers actually act

@@ -23,9 +23,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from json_remedy_ray.config import DEFAULT_CONFIG, RepairConfig
+from json_remedy_ray.repair.layer1 import _BALANCED_RE, _find_balanced
 from json_remedy_ray.repair.pipeline import repair
 from json_remedy_ray.stages.repair_stage import repair_arrow_batch
 from tests.fixtures_corpus import CASES, STRICT_ERROR_CASES
+from tests.repair_reference.layer1 import _find_balanced as ref_find_balanced
 from tests.repair_reference.pipeline import repair as ref_repair
 from tests.repair_reference.repair_stage import repair_arrow_batch as ref_repair_arrow_batch
 from tests.test_ray_pipeline import SF_DIR as SF  # the sf0.001 test tables
@@ -158,6 +160,43 @@ def test_jsonish_text_matches_reference(s):
 @given(st.text(max_size=60))
 def test_any_unicode_matches_reference(s):
     assert_same(s)
+
+
+def assert_same_balanced(s: str) -> None:
+    for i, c in enumerate(s):
+        if c in "{[":
+            assert _find_balanced(s, i) == ref_find_balanced(s, i), (s, i)
+
+
+_BRACKETS = st.lists(st.sampled_from("{}[]"), max_size=12).map("".join)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_BRACKETS, st.text(alphabet=st.sampled_from(list('{}[]"\\\'/*ab \n')), max_size=60),
+       _BRACKETS)
+def test_balanced_search_matches_reference(head, mid, tail):
+    """The one-match balanced search (nesting up to 8) and its token-walk
+    fallback against the frozen character loop, from every opener."""
+    assert_same_balanced(head + mid + tail)
+
+
+def test_balanced_search_edges_match_reference():
+    for depth in range(1, 12):
+        for opener, closer in (("{", "}"), ("[", "]"), ("{[", "]}"), ("[{", "}]")):
+            opens = (opener * depth)[:depth]
+            closes = (closer * depth)[-depth:]
+            for inner in ("", '"}]"', 'a"b', '"\\"]', '"a\\'):
+                assert_same_balanced(opens + inner + closes + " x")
+                assert_same_balanced(opens + inner + closes[1:])
+                assert_same_balanced(opens + inner + closes[::-1])
+    for s in ('{"a', '{"a\\', '["\\"]', '{"}"}', "{'}'}", '{/*}*/}', "[{]]", "[{]", "{]"):
+        assert_same_balanced(s)
+    # up to 8 deep, with strings holding brackets at every depth, the one
+    # match finds the structure without the token walk
+    for depth in range(1, 9):
+        s = '{"}": [' * (depth // 2) + '["]"' * (depth % 2)
+        s += "]" * (depth % 2) + "]}" * (depth // 2)
+        assert _BALANCED_RE.match(s).end() == len(s) == ref_find_balanced(s, 0), s
 
 
 # ---- malformed renderings of generated JSON values -----------------------

@@ -31,6 +31,38 @@ def test_scrub_bare_card_number():
     assert b["pii_count"][0].as_py() >= 1
 
 
+def _scrub_two_passes(col: pa.ChunkedArray) -> pa.Table:
+    """scrub_batch as it ran before the union pass: both detectors over
+    every row."""
+    import numpy as np
+    import pyarrow.compute as pc
+
+    from json_remedy_ray.stages.scrub import _PII_PATTERNS, _PREFILTER, _TOXIC_ARROW_RE
+
+    cand = np.nonzero(pc.match_substring_regex(col, _PREFILTER).to_numpy(zero_copy_only=False))[0]
+    toxic = pc.and_kleene(pc.is_valid(col), pc.match_substring_regex(col, _TOXIC_ARROW_RE))
+    scrubbed = pc.cast(pc.fill_null(col, ""), pa.large_string()).to_pylist()
+    pii = [0] * len(scrubbed)
+    for i in cand:
+        for token, pat in _PII_PATTERNS:
+            scrubbed[i], k = pat.subn(f"<{token}>", scrubbed[i])
+            pii[i] += k
+    return pa.table({"scrubbed_text": pa.array(scrubbed, pa.large_string()),
+                     "pii_count": pa.array(pii, pa.int32()),
+                     "toxic": pc.fill_null(toxic, False)})
+
+
+def test_scrub_union_pass_matches_two_passes():
+    from json_remedy_ray.stages.scrub import scrub_batch
+
+    texts = ["a@b", "555-1234", "BADWORD1!", "xbadword1", "\u017flur1", "1.2.3.4", "Slur2",
+             None, "clean text", "", "mail a@b.co or 555-1234, badword2"]
+    for rows in (texts, texts[7:9], ["clean"], [None]):
+        col = pa.chunked_array([pa.array(rows, pa.string())])
+        got = scrub_batch(pa.table({"text": col})).drop_columns(["text"])
+        assert got.equals(_scrub_two_passes(col)), rows
+
+
 def test_quoted_fence_string_survives_layer1():
     # escaped newlines + escaped quotes inside a properly quoted fence value
     s = '{\'a\': "```json\\n{\\"x\\": 1}\\n```"}'

@@ -16,6 +16,13 @@ runs derandomized, so the suite sees the same examples on every run.
 
 The scalar ``LangIdScorer.score_one`` is checked against the batch path
 here too: both take maximal runs of letters (Unicode category L*).
+
+The scan's own pieces are pinned where they stand in for something
+else: its line breaks are exactly ``str.splitlines``' and its
+duplicate-line fractions ``doc_features``', its letter table agrees
+with RE2's ``[^\\pL]+`` split over every code point, and a block scores
+the same in a fresh process, in either block order, as after every other
+test has filled the letter table.
 """
 
 from __future__ import annotations
@@ -35,10 +42,16 @@ from hypothesis import strategies as st
 
 from json_remedy_ray.pipelines.quality_filter import FusedScorer
 from json_remedy_ray.stages import langid
-from json_remedy_ray.stages.heuristics import EDGE_PUNCT_CHARS, STOPWORDS, heuristics_batch
-from json_remedy_ray.stages.langid import LangIdScorer
+from json_remedy_ray.stages.heuristics import (
+    EDGE_PUNCT_CHARS,
+    STOPWORDS,
+    doc_features,
+    heuristics_batch,
+    letter_count,
+)
+from json_remedy_ray.stages.langid import LangIdScorer, cjk_count
 from json_remedy_ray.stages.perplexity import PerplexityScorer
-from json_remedy_ray.stages.textscan import ASCII_LOWERING
+from json_remedy_ray.stages.textscan import ASCII_LOWERING, LINE_BREAKS, TextScan
 from json_remedy_ray.stages.textstats import UWS_CHARS
 from tests.scorer_reference import langid as ref_langid
 from tests.scorer_reference.heuristics import heuristics_batch as ref_heuristics_batch
@@ -172,6 +185,10 @@ def test_flagship_pages_match_reference(seed):
     assert_same([p for p in pages if not p.isascii()])
 
 
+# what str.splitlines breaks a line at, "\r\n" as one break
+_SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+
 EDGE_CASES = [
     [],
     [""],
@@ -211,6 +228,20 @@ EDGE_CASES = [
     ["é", "中文 the", "İS", "the\u00a0of", "naïve café"],
     ["the cat", "a b", "", None, "x"],
     ["", "aé", "", None, "", "é", ""],  # empty rows around non-ASCII ones
+    # duplicate lines: every line break alone, doubled, at a row's start and end
+    [f"a{sep}b{sep}a" for sep in _SEPARATORS] + [f"a{sep}{sep}a" for sep in _SEPARATORS],
+    [f"{sep}a{sep}a" for sep in _SEPARATORS] + [f"a{sep}a{sep}" for sep in _SEPARATORS]
+    + [sep * k for sep in _SEPARATORS for k in (1, 2)] + [f"{sep}x{sep}" for sep in _SEPARATORS],
+    ["".join(f"{w}{sep}" for w, sep in zip("abab" * 3, _SEPARATORS)), "a\r\r\na\n\ra"],
+    # lines blank only because of multi-byte White_Space
+    ["a\n\u00a0\na\n\u3000\u2003", "\u00a0\n\u1680\nb\n\u205f\nb", "é\n\u3000\n\u3000"],
+    # lines of one length, other text; repeats that are not neighbours
+    ["abc\nabd\nabc\nxyz", "ab\nba\nab\nba\nab", "é1\ne1\né1", "xé\nxè\nxé\n xé"],
+    # \x1f and \t are White_Space but no line break, nor are other controls
+    ["a\x1fb\na\x1fb", "a\x1fa", "\x1f\na\n\x1f\na", "a\x1f\x1fa\na", "a\tb\na\tc",
+     "a\x00b\na\x08c\x0ea\x1ba"],
+    # lowercasing that changes byte lengths, and ASCII capitals
+    ["İSTANBUL İs", "\u212aELVIN \u212a", "HELLO World THE And LAZY", "İ", "\u212a", "Aİ", "aZy"],
 ]
 
 
@@ -305,8 +336,8 @@ def test_scalar_matches_batch(texts):
 # ---- where the byte scan defers to RE2 and to Arrow
 
 def test_re2_only_letters_stay_letters():
-    """RE2's \\pL, not Python's str.isalpha or a code-point table, decides
-    what a letter is: U+11F04 and U+1123F are letters to RE2 only."""
+    """RE2's \\pL, not Python's str.isalpha or utf8proc, decides what a
+    letter is: U+11F04 and U+1123F are letters to RE2 only."""
     for c in ("\U00011f04", "\U0001123f"):
         assert not c.isalpha()
         texts = [f"the{c}and", f"the {c} and", c, f"{c}{c} {c}"]
@@ -327,6 +358,114 @@ def test_ascii_lowering_covers_every_code_point():
     cps = [chr(c) for c in range(0x80, 0x110000) if not 0xD800 <= c < 0xE000]
     lowered = pc.utf8_lower(pa.array(cps)).to_pylist()
     assert {c: low for c, low in zip(cps, lowered) if low.isascii()} == ASCII_LOWERING
+
+
+@pytest.mark.parametrize("data", [b"abc\xf7\xbf\xbf\xbfx", b"a\xed\xa0\x80b", b"\xc3", b"a\x80"])
+def test_invalid_utf8_is_refused(data):
+    """Bytes that are not UTF-8 in a string array built from raw buffers
+    are refused, not decoded to code points that do not exist."""
+    offsets = np.array([0, len(data)], dtype=np.int32)
+    col = pa.StringArray.from_buffers(1, pa.py_buffer(offsets), pa.py_buffer(data))
+    with pytest.raises(pa.ArrowInvalid):
+        FUSED(pa.table({"text": col}))
+
+
+def test_line_breaks_cover_every_code_point():
+    """The scan breaks lines at exactly the characters str.splitlines does."""
+    cps = (chr(c) for c in range(1, 0x110000) if not 0xD800 <= c < 0xE000)
+    assert {c for c in cps if len(f"a{c}b".splitlines()) == 2} == set(LINE_BREAKS)
+    assert set(LINE_BREAKS) <= set(UWS_CHARS)
+
+
+_LINE = st.sampled_from(["a", "b", "ab", "ba", "é", "è", "the and", " a", "a ", "\u3000",
+                         "\x1f", "", "中", "\u212a", "a\x1fb"])
+_ROW = st.builds(lambda lines, seps: "".join(ln + sep for ln, sep in zip(lines, seps)),
+                 st.lists(_LINE, max_size=10),
+                 st.lists(st.sampled_from(_SEPARATORS + [""]), min_size=10, max_size=10))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.one_of(st.none(), _ROW), max_size=12))
+def test_generated_lines_match_reference(texts):
+    """Rows of a few repeated lines between random line breaks."""
+    batch = pa.table({"text": pa.array(texts, type=pa.string())})
+    got = heuristics_batch(batch)["dup_line_frac"]
+    assert _bits(got) == _bits(ref_heuristics_batch(batch)["dup_line_frac"]), texts
+    want = [doc_features(t or "")[5] for t in texts]
+    assert got.to_pylist() == [float(np.float32(w)) for w in want], texts
+
+
+def _code_point_rows() -> list:
+    """Every code point from 1 to 0x10FFFF but the surrogates, 64 per row,
+    each row ending in markers (ASCII and not) so that marker hits count."""
+    cps = [chr(c) for c in range(1, 0x110000) if not 0xD800 <= c < 0xE000]
+    return ["".join(cps[i:i + 64]) + " the für più DIE Nicht anche" for i in range(0, len(cps), 64)]
+
+
+def test_letter_table_matches_re2_on_every_code_point():
+    """Letters, letter runs, marker hits and CJK counts from the decoded
+    code points equal RE2's: the letter table holds \\pL as RE2 has it."""
+    texts = _code_point_rows()
+    col = pa.array(texts, type=pa.large_string())
+    scan = TextScan(col, LANGID.words)
+    split = pc.split_pattern_regex(col, r"[^\pL]+")
+    rows = pc.list_parent_indices(split).to_numpy()
+    lens = pc.utf8_length(pc.list_flatten(split)).to_numpy()
+    assert letter_count(scan).tolist() == np.bincount(rows, weights=lens, minlength=len(texts)).tolist()
+    n_words = np.bincount(rows[lens > 0], minlength=len(texts))
+    assert np.bincount(scan.wide_runs[0], minlength=len(scan.other)).tolist() == n_words[scan.other].tolist()
+    cjk = pc.count_substring_regex(col, ref_langid._CJK_RANGE).to_numpy()
+    assert cjk_count(scan).tolist() == cjk[scan.other].tolist()
+    assert scan.n_chars.tolist() == pc.utf8_length(col).to_numpy().tolist()
+    batch = pa.table({"text": col})
+    got, want = LANGID(batch), REF_LANGID(batch)
+    assert got["lang_pred"].to_pylist() == want["lang_pred"].to_pylist()
+    assert _bits(got["lang_conf"]) == _bits(want["lang_conf"])
+    assert_same_table(heuristics_batch(batch), ref_heuristics_batch(batch), "every code point")
+
+
+_SCORE_BLOCKS = """
+import sys
+import pyarrow as pa
+from json_remedy_ray.pipelines.quality_filter import FusedScorer
+from tests.test_scorer_reference import _order_blocks
+blocks = _order_blocks()
+order = range(len(blocks)) if sys.argv[1] == "forward" else reversed(range(len(blocks)))
+scorer = FusedScorer()
+out = {i: scorer(blocks[i]) for i in order}
+with pa.OSFile(sys.argv[2], "wb") as f, pa.ipc.new_file(f, out[0].schema) as w:
+    for i in range(len(blocks)):
+        w.write_table(out[i])
+"""
+
+
+def _order_blocks() -> list:
+    """Blocks that meet code points in different orders: scripts whose
+    letters and non-letters a fresh letter table has not seen."""
+    rows = _code_point_rows()
+    return [pa.table({"text": pa.array(t, type=pa.string())}) for t in (
+        rows[2:40], ["naïve café über ĳ", "Ελληνικά κείμενα", "中文字符 the", "Đs İs"],
+        rows[1:3] + rows[200:260] + ["\U00011f04\U0001123f the"], rows[900:1000])]
+
+
+@pytest.mark.parametrize("order", ["forward", "reverse"])
+def test_scores_do_not_depend_on_what_the_letter_table_has_seen(order, tmp_path):
+    """The same blocks give the same output in a fresh process, in either
+    order, as here after every other test has filled the table."""
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = str(tmp_path / "out.arrow")
+    subprocess.run([sys.executable, "-c", _SCORE_BLOCKS, order, path], cwd=root, check=True,
+                   env={**os.environ, "PYTHONPATH": root})
+    with pa.memory_map(path) as f:
+        got = pa.ipc.open_file(f).read_all()
+    blocks = _order_blocks()
+    want = pa.concat_tables([FUSED(b) for b in blocks])
+    assert got.equals(want)
+    assert want.equals(pa.concat_tables([REF_PPL(REF_LANGID(ref_heuristics_batch(b))) for b in blocks]))
 
 
 # ---- the Ray pipelines against the frozen chain run in-process
