@@ -358,17 +358,14 @@ def run_bench() -> dict:
     # deployment shape the query docstring promises.
     from json_remedy_ray.functions.queries import crawl_delta_status
     from json_remedy_ray.functions.vhash import _mix64
-    from json_remedy_ray.state.partitioning import (
-        bucket_exchange,
-        partition_by_bucket,
-    )
+    from json_remedy_ray.state.partitioning import bucket_exchange
 
     cd_buckets = max(4, NUM_CPUS // 2)
     _CD = pa.schema([("h", pa.int64()), ("page", pa.int64()),
                      ("fetch_id", pa.int64()), ("ts", pa.int64()),
                      ("content", pa.int64())])
 
-    def cd_part(tbl: pa.Table) -> list:
+    def cd_part(tbl: pa.Table):
         import pyarrow.compute as pc
         did = pc.struct_field(
             pc.extract_regex(tbl["url"], r"/p/(?P<d>\d+)$"), "d").cast(
@@ -384,22 +381,15 @@ def run_bench() -> dict:
                       "fetch_id": pa.array(did, type=pa.int64()),
                       "ts": pa.array(did, type=pa.int64()),
                       "content": pa.array(content)}).cast(_CD)
-        b = (h % np.uint64(cd_buckets)).view(np.int64)
-        return partition_by_bucket(t.append_column("bucket", pa.array(b)),
-                                   "bucket", cd_buckets)
+        return h, t
 
-    def cd_red(*tables: pa.Table) -> pa.Table:
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return pa.table({"status": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
-        t = pa.concat_tables(live).combine_chunks()
+    def cd_red(t: pa.Table) -> pa.Table:
         _, _, _, status, _last = crawl_delta_status(
             t["h"].to_numpy(zero_copy_only=False).view(np.uint64),
-            t["page"].combine_chunks(),
+            t["page"].chunk(0),
             t["fetch_id"].to_numpy(zero_copy_only=False),
             t["ts"].to_numpy(zero_copy_only=False),
-            t["content"].combine_chunks())
+            t["content"].chunk(0))
         counts = np.bincount(status, minlength=3)
         return pa.table({"status": pa.array([0, 1, 2], pa.int64()),
                          "n": pa.array(counts, type=pa.int64())})
@@ -407,7 +397,9 @@ def run_bench() -> dict:
     t0 = time.perf_counter()
     cd_refs = (rd.read_parquet(corpus_dir, columns=["url", "text"])
                .to_arrow_refs())
-    _, cd_out = bucket_exchange(cd_refs, cd_buckets, cd_part, cd_red)
+    _, cd_out = bucket_exchange(
+        cd_refs, cd_buckets, cd_part, cd_red,
+        pa.schema([("status", pa.int64()), ("n", pa.int64())]))
     cd_pdf = rd.from_arrow_refs(cd_out).to_pandas()
     timings["crawl_delta_corpus"] = round(time.perf_counter() - t0, 3)
     n_new = int(cd_pdf[cd_pdf["status"] == 0]["n"].sum())

@@ -79,6 +79,7 @@ from json_remedy_ray.stages.langid import LangIdScorer
 from json_remedy_ray.stages.perplexity import PerplexityScorer
 from json_remedy_ray.stages.repair_stage import make_repair_fn
 from json_remedy_ray.stages.scrub import scrub_batch
+from json_remedy_ray.state.partitioning import bucket_exchange, default_n_buckets
 
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None) -> rd.Dataset:
@@ -128,7 +129,8 @@ def _partial_agg(ds: rd.Dataset, partial_fn, keys: list[str], aggs: dict[str, st
     if pdf.empty:
         # an empty input yields a COLUMN-LESS frame; groupby would raise
         return pd.DataFrame({c: [] for c in [*keys, *aggs]})
-    return pdf.groupby(keys, as_index=False).agg(aggs)
+    # dropna=False: a NULL key is one group, as in SQL's GROUP BY
+    return pdf.groupby(keys, as_index=False, dropna=False).agg(aggs)
 
 
 # --------------------------------------------------------------- repair ops
@@ -332,21 +334,12 @@ def _dedup_min_id_exchange(ds, text_col: str):
     """Collision-exact min-doc_id-per-distinct-text on the bucket
     exchange (shared by exact_dedup_text and normalized_dedup_text).
     Input Dataset columns: (doc_id, <text_col>)."""
-    import ray as _ray
-
     from json_remedy_ray.functions.vhash import hash_strings
     from json_remedy_ray.stages.dedup import first_occurrence_dups
-    from json_remedy_ray.state.partitioning import (
-        bucket_exchange,
-        partition_by_bucket,
-    )
 
-    n_buckets = max(4, min(32, int(_ray.cluster_resources().get("CPU", 8)) // 2))
     _OUT_SCHEMA = pa.schema([(text_col, pa.string()), ("doc_id", pa.int64())])
 
-    def part(tbl: pa.Table) -> list[pa.Table]:
-        if tbl.num_rows == 0:
-            return [_OUT_SCHEMA.empty_table()] * n_buckets
+    def part(tbl: pa.Table):
         # block-local combiner: one candidate per distinct doc per block
         g = (tbl.group_by([text_col]).aggregate([("doc_id", "min")])
              .rename_columns([text_col, "doc_id"]))
@@ -356,20 +349,12 @@ def _dedup_min_id_exchange(ds, text_col: str):
         h = hash_strings(col)
         t = pa.table({"h": pa.array(h.view(np.int64)), text_col: col,
                       "doc_id": g["doc_id"].cast(pa.int64())})
-        b = (h % np.uint64(n_buckets)).view(np.int64)
-        return partition_by_bucket(t.append_column("bucket", pa.array(b)),
-                                   "bucket", n_buckets)
+        return h, t
 
-    def red(*tables: pa.Table) -> pa.Table:
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return _OUT_SCHEMA.empty_table()
-        t = pa.concat_tables(live).combine_chunks()
+    def red(t: pa.Table) -> pa.Table:
         h = t["h"].to_numpy(zero_copy_only=False)
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        texts = t[text_col]
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
+        texts = t[text_col].chunk(0)
         # ordered by (hash, doc_id): the surviving row of each distinct
         # (hash, text) group is its min-doc_id occurrence
         order, ts, dup = first_occurrence_dups(
@@ -379,7 +364,8 @@ def _dedup_min_id_exchange(ds, text_col: str):
                          "doc_id": pa.array(ids[order][~dup],
                                             type=pa.int64())}).cast(_OUT_SCHEMA)
 
-    _, reduced = bucket_exchange(ds.to_arrow_refs(), n_buckets, part, red)
+    _, reduced = bucket_exchange(ds.to_arrow_refs(), default_n_buckets(),
+                                 part, red, _OUT_SCHEMA)
     return rd.from_arrow_refs(reduced)
 
 
@@ -432,21 +418,12 @@ def latest_crawl_per_url(sf_dir: str):
     and overflow-free on both sides for doc_id < 2^31, far above any
     sf table; the corpus-scale path would feed the REAL warc_ts column
     through the identical exchange."""
-    import ray as _ray
-
     from json_remedy_ray.functions.vhash import hash_strings
     from json_remedy_ray.stages.dedup import first_occurrence_dups
-    from json_remedy_ray.state.partitioning import (
-        bucket_exchange,
-        partition_by_bucket,
-    )
 
     ds = _read(sf_dir, "documents", columns=["doc_id"])
-    n_buckets = max(4, min(32, int(_ray.cluster_resources().get("CPU", 8)) // 2))
     _OUT = pa.schema([("url", pa.string()), ("doc_id", pa.int64()),
                       ("ts_s", pa.int64())])
-    _EX = pa.schema([("h", pa.int64()), ("url", pa.string()),
-                     ("doc_id", pa.int64()), ("ts_s", pa.int64())])
 
     def _latest_local(h, urls, ids, ts):
         """argmax-ts (tie: min doc_id) per (hash, url) via the shared
@@ -456,9 +433,7 @@ def latest_crawl_per_url(sf_dir: str):
         return (urls_sorted.filter(pa.array(keep)), h[order][keep],
                 ids[order][keep], ts[order][keep])
 
-    def part(tbl: pa.Table) -> list[pa.Table]:
-        if tbl.num_rows == 0:
-            return [_EX.empty_table()] * n_buckets
+    def part(tbl: pa.Table):
         ids = tbl["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         page = ids // 3
         urls = pa.array(
@@ -469,30 +444,22 @@ def latest_crawl_per_url(sf_dir: str):
         ts = (ids * 2654435761) % 4294967296 % 1000000
         h = hash_strings(urls)
         urls_k, h_k, ids_k, ts_k = _latest_local(h, urls, ids, ts)
-        t = pa.table({"h": pa.array(h_k.view(np.int64)), "url": urls_k,
-                      "doc_id": pa.array(ids_k, type=pa.int64()),
-                      "ts_s": pa.array(ts_k, type=pa.int64())}).cast(_EX)
-        b = (h_k % np.uint64(n_buckets)).view(np.int64)
-        return partition_by_bucket(t.append_column("bucket", pa.array(b)),
-                                   "bucket", n_buckets)
+        return h_k, pa.table({"h": pa.array(h_k.view(np.int64)),
+                              "url": urls_k,
+                              "doc_id": pa.array(ids_k, type=pa.int64()),
+                              "ts_s": pa.array(ts_k, type=pa.int64())})
 
-    def red(*tables: pa.Table) -> pa.Table:
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return _OUT.empty_table()
-        t = pa.concat_tables(live).combine_chunks()
+    def red(t: pa.Table) -> pa.Table:
         h = t["h"].to_numpy(zero_copy_only=False).view(np.uint64)
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
         ts = t["ts_s"].to_numpy(zero_copy_only=False)
-        urls = t["url"]
-        if isinstance(urls, pa.ChunkedArray):
-            urls = urls.combine_chunks()
-        urls_k, _, ids_k, ts_k = _latest_local(h, urls, ids, ts)
+        urls_k, _, ids_k, ts_k = _latest_local(h, t["url"].chunk(0), ids, ts)
         return pa.table({"url": urls_k.cast(pa.string()),
                          "doc_id": pa.array(ids_k, type=pa.int64()),
                          "ts_s": pa.array(ts_k, type=pa.int64())}).cast(_OUT)
 
-    _, reduced = bucket_exchange(ds.to_arrow_refs(), n_buckets, part, red)
+    _, reduced = bucket_exchange(ds.to_arrow_refs(), default_n_buckets(),
+                                 part, red, _OUT)
     return rd.from_arrow_refs(reduced)
 
 
@@ -618,25 +585,13 @@ def crawl_delta_per_url(sf_dir: str, with_latest: bool = False):
     the content itself (collision-resolved the same way).
     FULL SQL oracle: LAG() OVER (PARTITION BY url ORDER BY ts, id).
     """
-    import ray as _ray
-
     from json_remedy_ray.functions.vhash import hash_strings
-    from json_remedy_ray.state.partitioning import (
-        bucket_exchange,
-        partition_by_bucket,
-    )
 
     ds = _read(sf_dir, "documents", columns=["doc_id"])
-    n_buckets = max(4, min(32, int(_ray.cluster_resources().get("CPU", 8)) // 2))
     _OUT = pa.schema([("url", pa.string()), ("doc_id", pa.int64()),
                       ("ts_s", pa.int64()), ("status", pa.string())])
-    _EX = pa.schema([("h", pa.int64()), ("url", pa.string()),
-                     ("doc_id", pa.int64()), ("ts_s", pa.int64()),
-                     ("content", pa.string())])
 
-    def part(tbl: pa.Table) -> list[pa.Table]:
-        if tbl.num_rows == 0:
-            return [_EX.empty_table()] * n_buckets
+    def part(tbl: pa.Table):
         ids = tbl["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         page = ids // 3
         urls = pa.array(
@@ -651,25 +606,17 @@ def crawl_delta_per_url(sf_dir: str, with_latest: bool = False):
             np.char.add("-v", ver.astype(str))).astype(object),
             type=pa.string())
         h = hash_strings(urls)
-        t = pa.table({"h": pa.array(h.view(np.int64)), "url": urls,
-                      "doc_id": pa.array(ids, type=pa.int64()),
-                      "ts_s": pa.array(ts, type=pa.int64()),
-                      "content": content}).cast(_EX)
-        b = (h % np.uint64(n_buckets)).view(np.int64)
-        return partition_by_bucket(t.append_column("bucket", pa.array(b)),
-                                   "bucket", n_buckets)
+        return h, pa.table({"h": pa.array(h.view(np.int64)), "url": urls,
+                            "doc_id": pa.array(ids, type=pa.int64()),
+                            "ts_s": pa.array(ts, type=pa.int64()),
+                            "content": content})
 
-    def red(*tables: pa.Table) -> pa.Table:
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return _OUT.empty_table()
-        t = pa.concat_tables(live).combine_chunks()
+    def red(t: pa.Table) -> pa.Table:
         h = t["h"].to_numpy(zero_copy_only=False).view(np.uint64)
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
         ts = t["ts_s"].to_numpy(zero_copy_only=False)
         urls, idss, tss, status, last = crawl_delta_status(
-            h, t["url"].combine_chunks(), ids, ts,
-            t["content"].combine_chunks())
+            h, t["url"].chunk(0), ids, ts, t["content"].chunk(0))
         out = pa.table({
             "url": urls, "doc_id": pa.array(idss, type=pa.int64()),
             "ts_s": pa.array(tss, type=pa.int64()),
@@ -679,7 +626,10 @@ def crawl_delta_per_url(sf_dir: str, with_latest: bool = False):
             out = out.append_column("is_latest", pa.array(last))
         return out
 
-    _, reduced = bucket_exchange(ds.to_arrow_refs(), n_buckets, part, red)
+    schema = (_OUT.append(pa.field("is_latest", pa.bool_())) if with_latest
+              else _OUT)
+    _, reduced = bucket_exchange(ds.to_arrow_refs(), default_n_buckets(),
+                                 part, red, schema)
     return rd.from_arrow_refs(reduced)
 
 
@@ -765,82 +715,60 @@ def dedup_rate_by_source(sf_dir: str, n_buckets: int = 32):
     """PER-SOURCE duplicate-rate report — the curation dashboard metric
     that decides which feeds are worth crawling (a 60%-duplicate source
     wastes fetch budget): per source, n_docs, n_distinct texts and
-    dup_rate_micro = 1e6 * (n_docs - n_distinct) // n_docs.  The
-    distinct count rides the unbounded exchange path (the
-    count_distinct_exact_exchange shape, carrying the source): per
-    block unique (source, hash) pairs, hash-bucket exchange, one
-    lexsort per bucket, per-source tallies summed on the driver
-    (bounded by sources x buckets).  Exact on the 64-bit content hash
-    (the count-distinct family's documented contract).  FULL SQL
-    oracle."""
+    dup_rate_micro = 1e6 * (n_docs - n_distinct) // n_docs.  ONE pass
+    on the unbounded exchange path (the count_distinct_exact_exchange
+    shape, carrying the source): per block unique (source, hash) pairs
+    with their row counts, hash-bucket exchange, one lexsort per
+    bucket, per-source tallies summed on the driver (bounded by
+    sources x buckets).  A NULL source is one group, as in SQL's GROUP
+    BY.  Exact on the 64-bit content hash (the count-distinct family's
+    documented contract).  FULL SQL oracle."""
     from json_remedy_ray.functions.vhash import hash_strings
-    from json_remedy_ray.state.partitioning import (
-        bucket_exchange,
-        partition_by_bucket,
-    )
 
-    ds = _read(sf_dir, "documents", columns=["source", "text"])
-    ds = ds.materialize()   # one read, two passes
+    _OUT = pa.schema([("source", pa.string()), ("n_docs", pa.int64()),
+                      ("n_distinct", pa.int64())])
 
-    _MID = pa.schema([("source", pa.string()), ("h", pa.int64())])
-
-    def part(tbl: pa.Table) -> list[pa.Table]:
-        if tbl.num_rows == 0:
-            return [_MID.empty_table()] * n_buckets
-        col = tbl["text"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        src = pc.fill_null(tbl["source"], "").cast(pa.string())
-        if isinstance(src, pa.ChunkedArray):
-            src = src.combine_chunks()
-        h = hash_strings(pc.fill_null(col, "").cast(pa.string()))
-        enc = pc.dictionary_encode(src)
+    def distinct_pairs(src, h: np.ndarray):
+        """(source dictionary, codes, first-row order) of the distinct
+        (source, hash) pairs — a NULL source encodes as its own code."""
+        enc = pc.dictionary_encode(src, null_encoding="encode")
         codes = enc.indices.to_numpy(zero_copy_only=False)
         order = np.lexsort((h, codes))
         h_s, c_s = h[order], codes[order]
         first = np.ones(len(h_s), dtype=bool)
         first[1:] = (h_s[1:] != h_s[:-1]) | (c_s[1:] != c_s[:-1])
-        keep = pa.array(order[first])
-        out = pa.table({
-            "source": src.take(keep),
-            "h": pa.array(h[order[first]].view(np.int64)),
+        return enc.dictionary, codes, order, first
+
+    def part(tbl: pa.Table):
+        src = tbl["source"].cast(pa.string()).combine_chunks()
+        h = hash_strings(pc.fill_null(tbl["text"], "").cast(pa.string()))
+        _, _, order, first = distinct_pairs(src, h)
+        heads = np.nonzero(first)[0]
+        n = np.diff(np.append(heads, len(order)))
+        keep = order[heads]
+        return h[keep], pa.table({
+            "source": src.take(pa.array(keep)),
+            "h": pa.array(h[keep].view(np.int64)),
+            "n": pa.array(n.astype(np.int64)),
         })
-        b = (h[order[first]] % np.uint64(n_buckets)).view(np.int64)
-        return partition_by_bucket(out.append_column("bucket", pa.array(b)),
-                                   "bucket", n_buckets)
 
-    def red(*tables: pa.Table) -> pa.Table:
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return pa.schema([("source", pa.string()),
-                              ("n_distinct", pa.int64())]).empty_table()
-        t = pa.concat_tables(live).combine_chunks()
+    def red(t: pa.Table) -> pa.Table:
         h = t["h"].to_numpy(zero_copy_only=False)
-        src_col = t["source"]
-        if isinstance(src_col, pa.ChunkedArray):
-            src_col = src_col.combine_chunks()
-        enc = pc.dictionary_encode(src_col)
-        codes = enc.indices.to_numpy(zero_copy_only=False)
-        order = np.lexsort((h, codes))
-        h_s, c_s = h[order], codes[order]
-        first = np.ones(len(h_s), dtype=bool)
-        first[1:] = (h_s[1:] != h_s[:-1]) | (c_s[1:] != c_s[:-1])
-        n_dist = np.bincount(c_s[first], minlength=len(enc.dictionary))
-        return pa.table({"source": enc.dictionary.cast(pa.string()),
+        srcs, codes, order, first = distinct_pairs(t["source"].chunk(0), h)
+        n_docs = np.zeros(len(srcs), dtype=np.int64)
+        np.add.at(n_docs, codes, t["n"].to_numpy(zero_copy_only=False))
+        n_dist = np.bincount(codes[order][first], minlength=len(srcs))
+        return pa.table({"source": srcs, "n_docs": pa.array(n_docs),
                          "n_distinct": pa.array(n_dist.astype(np.int64))})
 
-    _, reduced = bucket_exchange(ds.to_arrow_refs(), n_buckets, part, red)
-    ddf = (rd.from_arrow_refs(reduced).to_pandas()
-           .groupby("source", as_index=False)["n_distinct"].sum())
-
-    def counts(batch: pa.Table) -> pa.Table:
-        g = batch.group_by("source").aggregate([([], "count_all")])
-        return g.rename_columns(["source", "n_docs"])
-
-    cdf = _partial_agg(ds, counts, ["source"], {"n_docs": "sum"})
-    pdf = cdf.merge(ddf, on="source", how="left")
+    ds = _read(sf_dir, "documents", columns=["source", "text"])
+    _, reduced = bucket_exchange(ds.to_arrow_refs(), n_buckets, part, red,
+                                 _OUT)
+    pdf = (rd.from_arrow_refs(reduced).to_pandas()
+           .groupby("source", as_index=False, dropna=False)
+           [["n_docs", "n_distinct"]].sum())
     pdf["n_docs"] = pdf["n_docs"].astype("int64")
-    pdf["n_distinct"] = pdf["n_distinct"].fillna(0).astype("int64")
+    pdf["n_distinct"] = pdf["n_distinct"].astype("int64")
     nd = pdf["n_docs"].to_numpy()
     pdf["dup_rate_micro"] = np.where(
         nd > 0,
@@ -937,9 +865,10 @@ def source_epoch_plan(sf_dir: str, budget_mult: int = 3):
     sum_tokens = pdf["sum_tokens"].astype("int64")
     n_docs = pdf["n_docs"].astype("int64")
     # Python-int loop-free path: values fit int64 (1e6 * target ~ 1e6 *
-    # 3 * corpus_tokens / ns; at 100 T corpus tokens use epochs_nano
-    # or numpy object math — documented, asserted here)
-    assert 1_000_000 * target < (1 << 62)
+    # 3 * corpus_tokens / ns, and n_partial_docs < 1e6 * n_docs; at 100 T
+    # corpus tokens use epochs_nano or numpy object math — documented,
+    # asserted here)
+    assert 1_000_000 * max(target, int(n_docs.max())) < (1 << 62)
     st = sum_tokens.to_numpy()
     # a source of only empty docs gets 0 epochs, not a divide-by-zero
     epochs_micro = np.where(
@@ -988,8 +917,11 @@ def epoch_expand_documents(sf_dir: str, budget_mult: int = 3,
     is then ONE stateless map_batches with np.repeat — every task
     bounded by its input block, nothing source-sized anywhere, and
     the multiset never lands on the driver.  FULL SQL oracle:
-    ROW_NUMBER over the same hash feeds a range() unnest."""
+    ROW_NUMBER over the same hash feeds a range() unnest.  A NULL
+    source is its own group (as in the plan's GROUP BY) and, as in the
+    oracle's JOIN, matches no plan row: its docs get no copies."""
     plan = source_epoch_plan(sf_dir, budget_mult)
+    plan = plan[plan["source"].notna()]
     full_by_src = {s: int(v) for s, v in zip(plan["source"],
                                              plan["full_epochs"])}
     part_by_src = {s: int(v) for s, v in zip(plan["source"],
@@ -1004,11 +936,8 @@ def epoch_expand_documents(sf_dir: str, budget_mult: int = 3,
 
     def _src_arrays(batch: pa.Table):
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src_col = batch["source"]
-        if isinstance(src_col, pa.ChunkedArray):
-            src_col = src_col.combine_chunks()
-        src_col = pc.fill_null(src_col, "").cast(pa.string())
-        enc = pc.dictionary_encode(src_col)
+        src_col = batch["source"].cast(pa.string()).combine_chunks()
+        enc = pc.dictionary_encode(src_col, null_encoding="encode")
         codes = enc.indices.to_numpy(zero_copy_only=False)
         uniq = enc.dictionary.to_pylist()
         return ids, src_col, codes, uniq
@@ -1019,7 +948,10 @@ def epoch_expand_documents(sf_dir: str, budget_mult: int = 3,
              for s, k in part_by_src.items() if k > 0}
     thresholds: dict[str, tuple[int, int]] = {}
     while state:
-        pulls = {s: v for s, v in state.items() if v[3] <= PULL_CAP}
+        # a range narrowed to one hash value cannot narrow further:
+        # pull it whatever its row count
+        pulls = {s: v for s, v in state.items()
+                 if v[3] <= PULL_CAP or v[0] == v[1]}
         if pulls:
             rng = {s: (v[0], v[1]) for s, v in pulls.items()}
 
@@ -1039,7 +971,8 @@ def epoch_expand_documents(sf_dir: str, budget_mult: int = 3,
                                   batch_size=None).to_pandas()
             # k_rem >= 1 guarantees candidates exist (zero-row to_pandas
             # would also be column-less — fail loudly, not KeyError)
-            assert 0 < len(cand) <= 2 * len(pulls) * PULL_CAP, len(cand)
+            cap = sum(max(v[3], PULL_CAP) for v in pulls.values())
+            assert 0 < len(cand) <= 2 * cap, len(cand)
             for s, (lo, hi, k_rem, _est) in list(pulls.items()):
                 sub = cand[cand["source"] == s]
                 hs = sub["h"].to_numpy()
@@ -1174,34 +1107,21 @@ def assign_training_shards(sf_dir: str, n_shards: int = 16):
     machinery (histogram cuts + exchange, no full sort) per shard via
     one composite-key lexsort in a bucket exchange keyed on shard.
     FULL oracle: ROW_NUMBER over the same wrap-safe integer hash."""
-    from json_remedy_ray.state.partitioning import (
-        bucket_exchange,
-        partition_by_bucket,
-    )
-
     ds = _read(sf_dir, "documents", columns=["doc_id"])
 
     _SCHEMA = pa.schema([("doc_id", pa.int64()), ("shard", pa.int64()),
                          ("pos", pa.int64())])
 
-    def part(tbl: pa.Table) -> list[pa.Table]:
-        if tbl.num_rows == 0:
-            return [_SCHEMA.empty_table()] * n_shards
+    def part(tbl: pa.Table):
         ids = _col_np(tbl, "doc_id")
         h = ((ids.view(np.uint64) * np.uint64(2654435761))
              % np.uint64(4294967296))
-        shard = (h % np.uint64(n_shards)).view(np.int64)
-        out = pa.table({"doc_id": pa.array(ids),
-                        "shard": pa.array(shard),
-                        "h": pa.array(h.view(np.int64))})
-        return partition_by_bucket(out.append_column("bucket", pa.array(shard)),
-                                   "bucket", n_shards)
+        shard = h % np.uint64(n_shards)
+        return shard, pa.table({"doc_id": pa.array(ids),
+                                "shard": pa.array(shard.view(np.int64)),
+                                "h": pa.array(h.view(np.int64))})
 
-    def red(*tables: pa.Table) -> pa.Table:
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return _SCHEMA.empty_table()
-        t = pa.concat_tables(live).combine_chunks()
+    def red(t: pa.Table) -> pa.Table:
         ids = _col_np(t, "doc_id")
         h = t["h"].to_numpy(zero_copy_only=False)
         order = np.lexsort((ids, h))
@@ -1211,7 +1131,8 @@ def assign_training_shards(sf_dir: str, n_shards: int = 16):
                          "shard": t["shard"],
                          "pos": pa.array(pos)}).cast(_SCHEMA)
 
-    _, reduced = bucket_exchange(ds.to_arrow_refs(), n_shards, part, red)
+    _, reduced = bucket_exchange(ds.to_arrow_refs(), n_shards, part, red,
+                                 _SCHEMA)
     return rd.from_arrow_refs(reduced)
 
 
@@ -1229,21 +1150,14 @@ def url_canonical_dedup(sf_dir: str):
     keeps MIN doc_id per group.  The expected survivors are a pure
     function of the planting rule — FULL SQL oracle."""
     from json_remedy_ray.functions.vhash import hash_strings
-    from json_remedy_ray.state.partitioning import (
-        bucket_exchange,
-        partition_by_bucket,
-    )
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "source"])
-    n_buckets = max(4, min(32, int(ray.cluster_resources().get("CPU", 8))))
 
     _SCHEMA = pa.schema([("canon_url", pa.string()),
                          ("keep_doc_id", pa.int64()),
                          ("n_docs", pa.int64())])
 
-    def part(tbl: pa.Table) -> list[pa.Table]:
-        if tbl.num_rows == 0:
-            return [_SCHEMA.empty_table()] * n_buckets
+    def part(tbl: pa.Table):
         ids = tbl["doc_id"].to_numpy(zero_copy_only=False)
         src = pc.utf8_lower(pc.fill_null(tbl["source"], ""))
         # plant: ?query on id%3==0, #fragment on id%3==1, trailing
@@ -1261,24 +1175,18 @@ def url_canonical_dedup(sf_dir: str):
             pa.array(tail.astype(object), type=pa.string()), "")
         canon = pc.replace_substring_regex(url, r"[?#].*$", "")
         canon = pc.replace_substring_regex(canon, r"/$", "")
-        h = hash_strings(canon)
-        b = (h % np.uint64(n_buckets)).view(np.int64)
-        out = pa.table({"canon_url": canon.cast(pa.string()),
-                        "doc_id": pa.array(ids, type=pa.int64())})
-        return partition_by_bucket(out.append_column("bucket", pa.array(b)),
-                                   "bucket", n_buckets)
+        return hash_strings(canon), pa.table({
+            "canon_url": canon.cast(pa.string()),
+            "doc_id": pa.array(ids, type=pa.int64())})
 
-    def red(*tables: pa.Table) -> pa.Table:
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return _SCHEMA.empty_table()
-        t = pa.concat_tables(live).combine_chunks()
+    def red(t: pa.Table) -> pa.Table:
         g = t.group_by("canon_url").aggregate([("doc_id", "min"),
                                                ([], "count_all")])
         return g.rename_columns(["canon_url", "keep_doc_id", "n_docs"]
                                 ).cast(_SCHEMA)
 
-    _, reduced = bucket_exchange(ds.to_arrow_refs(), n_buckets, part, red)
+    _, reduced = bucket_exchange(ds.to_arrow_refs(), default_n_buckets(),
+                                 part, red, _SCHEMA)
     return rd.from_arrow_refs(reduced)
 
 
@@ -1391,14 +1299,10 @@ def filter_pipeline_documents(sf_dir: str, broadcast_max: int = 1 << 25):
     materializes on the driver."""
     from json_remedy_ray.functions.vhash import hash_strings
     from json_remedy_ray.stages.textstats import gopher_ngram_repetition_batch
-    from json_remedy_ray.state.partitioning import (
-        bucket_exchange,
-        merge_sorted,
-        partition_by_bucket,
-    )
+    from json_remedy_ray.state.partitioning import merge_sorted
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    n_buckets = max(4, min(32, int(ray.cluster_resources().get("CPU", 8))))
+    n_buckets = default_n_buckets()
 
     def plant(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
@@ -1428,23 +1332,14 @@ def filter_pipeline_documents(sf_dir: str, broadcast_max: int = 1 << 25):
     # duplicated() pass over that run
     _DROP_SCHEMA = pa.schema([("doc_id", pa.int64())])
 
-    def part(tbl: pa.Table) -> list[pa.Table]:
-        if tbl.num_rows == 0:
-            return [_DROP_SCHEMA.empty_table()] * n_buckets
+    def part(tbl: pa.Table):
         col = tbl["text"].combine_chunks() if isinstance(
             tbl["text"], pa.ChunkedArray) else tbl["text"]
         h = hash_strings(col)
-        t = pa.table({"h": pa.array(h.view(np.int64)),
-                      "doc_id": tbl["doc_id"], "text": col})
-        b = (h % np.uint64(n_buckets)).view(np.int64)
-        return partition_by_bucket(t.append_column("bucket", pa.array(b)),
-                                   "bucket", n_buckets)
+        return h, pa.table({"h": pa.array(h.view(np.int64)),
+                            "doc_id": tbl["doc_id"], "text": col})
 
-    def red(*tables: pa.Table) -> pa.Table:
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return _DROP_SCHEMA.empty_table()
-        t = pa.concat_tables(live).combine_chunks()
+    def red(t: pa.Table) -> pa.Table:
         h = t["h"].to_numpy(zero_copy_only=False)
         d = t["doc_id"].to_numpy(zero_copy_only=False)
         order = np.lexsort((d, h))
@@ -1472,7 +1367,8 @@ def filter_pipeline_documents(sf_dir: str, broadcast_max: int = 1 << 25):
     # ONE materialization of the planted corpus: the exchange and the
     # decide pass both read these refs (otherwise plant re-executes)
     planted = planted.materialize()
-    _, reduced = bucket_exchange(planted.to_arrow_refs(), n_buckets, part, red)
+    _, reduced = bucket_exchange(planted.to_arrow_refs(), n_buckets, part,
+                                 red, _DROP_SCHEMA)
 
     _OUT_SCHEMA = pa.schema([("doc_id", pa.int64()),
                              ("drop_reason", pa.string()),
@@ -2184,8 +2080,6 @@ def pagerank_doc_prior(sf_dir: str):
 def _hostgraph_rank_refs(sf_dir: str):
     """The shared rank computation behind hostgraph_pagerank and
     pagerank_doc_prior: planted edges -> 5 exchange iterations."""
-    import ray as _ray
-
     from json_remedy_ray.stages.graph import (
         extract_outlink_hosts,
         pagerank_refs,
@@ -2202,9 +2096,8 @@ def _hostgraph_rank_refs(sf_dir: str):
             "w": pa.array(np.ones(len(parents), dtype=np.int64))})
 
     edge_ds = ds.map_batches(edges, batch_format="pyarrow", batch_size=None)
-    n_buckets = max(4, min(16, int(_ray.cluster_resources().get("CPU", 8)) // 2))
-    return pagerank_refs(edge_ds.to_arrow_refs(), n_buckets=n_buckets,
-                         iters=5)
+    return pagerank_refs(edge_ds.to_arrow_refs(),
+                         n_buckets=default_n_buckets(), iters=5)
 
 
 def html_canonical_policy(sf_dir: str):
@@ -2287,19 +2180,12 @@ def webpipeline_documents(sf_dir: str):
     scale, round-4 verdict #2) or a second doc_id cogroup.  Block-local
     combiner keeps one candidate per url per block.  FULL composed-CTE
     oracle ending in the byte-exact extracted text of every survivor."""
-    import ray as _ray
-
     from json_remedy_ray.functions.vhash import hash_strings
     from json_remedy_ray.stages.dedup import first_occurrence_dups
     from json_remedy_ray.stages.extract import extract_text
     from json_remedy_ray.stages.textstats import ws_token_counts_batch
-    from json_remedy_ray.state.partitioning import (
-        bucket_exchange,
-        partition_by_bucket,
-    )
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
-    n_buckets = max(4, min(32, int(_ray.cluster_resources().get("CPU", 8)) // 2))
     _EX = pa.schema([("h", pa.int64()), ("effective_url", pa.string()),
                      ("doc_id", pa.int64()), ("extracted", pa.string()),
                      ("n_words", pa.int64())])
@@ -2311,17 +2197,13 @@ def webpipeline_documents(sf_dir: str):
         """min-doc_id row per (hash, effective_url), payload attached."""
         h = tbl["h"].to_numpy(zero_copy_only=False).view(np.uint64)
         ids = tbl["doc_id"].to_numpy(zero_copy_only=False)
-        urls = tbl["effective_url"]
-        if isinstance(urls, pa.ChunkedArray):
-            urls = urls.combine_chunks()
+        urls = tbl["effective_url"].combine_chunks()
         order, _, dup = first_occurrence_dups(
             h, urls, ids, np.zeros(len(ids), dtype=np.int64))
         keep_idx = pa.array(order[~dup])
         return tbl.take(keep_idx)
 
-    def part(tbl: pa.Table) -> list[pa.Table]:
-        if tbl.num_rows == 0:
-            return [_EX.empty_table()] * n_buckets
+    def part(tbl: pa.Table):
         n = tbl.num_rows
         ids = tbl["doc_id"].to_numpy(zero_copy_only=False)
         ids_s = pc.cast(tbl["doc_id"], pa.string())
@@ -2394,20 +2276,14 @@ def webpipeline_documents(sf_dir: str):
                       "doc_id": t["doc_id"], "extracted": t["extracted"],
                       "n_words": t["n_words"]}).cast(_EX)
         t = _winners(t)                       # block-local combiner
-        hb = t["h"].to_numpy(zero_copy_only=False).view(np.uint64)
-        b = (hb % np.uint64(n_buckets)).view(np.int64)
-        return partition_by_bucket(t.append_column("bucket", pa.array(b)),
-                                   "bucket", n_buckets)
+        return t["h"].to_numpy(zero_copy_only=False), t
 
-    def red(*tables: pa.Table) -> pa.Table:
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return _OUT.empty_table()
-        t = _winners(pa.concat_tables(live).combine_chunks())
-        return t.select(["doc_id", "effective_url", "extracted",
-                         "n_words"]).cast(_OUT)
+    def red(t: pa.Table) -> pa.Table:
+        return _winners(t).select(["doc_id", "effective_url", "extracted",
+                                   "n_words"]).cast(_OUT)
 
-    _, reduced = bucket_exchange(ds.to_arrow_refs(), n_buckets, part, red)
+    _, reduced = bucket_exchange(ds.to_arrow_refs(), default_n_buckets(),
+                                 part, red, _OUT)
     return rd.from_arrow_refs(reduced)
 
 
@@ -3799,17 +3675,10 @@ def incremental_dedup_documents(sf_dir: str):
     two reads would scan and hash every block twice.)  FULL SQL oracle
     via NOT IN + GROUP BY."""
     from json_remedy_ray.functions.vhash import hash_strings
-    from json_remedy_ray.state.partitioning import (
-        bucket_exchange,
-        partition_by_bucket,
-    )
 
-    n_buckets = 16
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
-    def part(tbl: pa.Table) -> list[pa.Table]:
-        if tbl.num_rows == 0 or "doc_id" not in tbl.schema.names:
-            return [tbl.slice(0, 0)] * n_buckets
+    def part(tbl: pa.Table):
         ids = tbl["doc_id"].to_numpy(zero_copy_only=False)
         col = tbl["text"]
         if isinstance(col, pa.ChunkedArray):
@@ -3817,18 +3686,11 @@ def incremental_dedup_documents(sf_dir: str):
         h = hash_strings(col)
         t = tbl.append_column(
             "content_hash", pa.array(h.view(np.int64), type=pa.int64()))
-        t = t.append_column("is_new", pa.array(ids % 3 != 0))
-        b = (h % np.uint64(n_buckets)).view(np.int64)
-        return partition_by_bucket(
-            t.append_column("bucket", pa.array(b)), "bucket", n_buckets)
+        return h, t.append_column("is_new", pa.array(ids % 3 != 0))
 
     _SCHEMA = pa.schema([("doc_id", pa.int64()), ("text", pa.string())])
 
-    def reduce_anti(*tables: pa.Table) -> pa.Table:
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return _SCHEMA.empty_table()
-        t = pa.concat_tables(live).combine_chunks()
+    def reduce_anti(t: pa.Table) -> pa.Table:
         nt = t.filter(t["is_new"])
         if nt.num_rows == 0:
             return _SCHEMA.empty_table()
@@ -3842,8 +3704,8 @@ def incremental_dedup_documents(sf_dir: str):
                          join_type="left anti")
         return ng.select(["doc_id", "text"]).cast(_SCHEMA)
 
-    _, reduced = bucket_exchange(ds.to_arrow_refs(), n_buckets,
-                                 part, reduce_anti)
+    _, reduced = bucket_exchange(ds.to_arrow_refs(), 16,
+                                 part, reduce_anti, _SCHEMA)
     return rd.from_arrow_refs(reduced)
 
 
@@ -3860,12 +3722,8 @@ def incremental_dedup_bloom(sf_dir: str):
     rather than a SQL oracle (the FP set is hash-defined)."""
     from json_remedy_ray.functions.vhash import hash_strings
     from json_remedy_ray.stages.sketch import bloom_contains, bloom_from_dataset
-    from json_remedy_ray.state.partitioning import (
-        bucket_exchange,
-        partition_by_bucket,
-    )
 
-    m_bits, n_buckets = 1 << 20, 16
+    m_bits = 1 << 20
     old = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def only_old(batch: pa.Table) -> pa.Table:
@@ -3879,9 +3737,7 @@ def incremental_dedup_bloom(sf_dir: str):
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
-    def part(tbl: pa.Table) -> list[pa.Table]:
-        if tbl.num_rows == 0 or "doc_id" not in tbl.schema.names:
-            return [tbl.slice(0, 0)] * n_buckets
+    def part(tbl: pa.Table):
         ids = tbl["doc_id"].to_numpy(zero_copy_only=False)
         t = tbl.filter(pa.array(ids % 3 != 0))
         col = t["text"]
@@ -3890,26 +3746,20 @@ def incremental_dedup_bloom(sf_dir: str):
         hit = bloom_contains(ray.get(bm_ref), col, m_bits)
         t = t.filter(pa.array(~hit))
         col = t["text"].combine_chunks() if isinstance(t["text"], pa.ChunkedArray) else t["text"]
-        h = hash_strings(col).view(np.int64)
-        t = t.append_column("content_hash", pa.array(h, type=pa.int64()))
-        b = (h.view(np.uint64) % np.uint64(n_buckets)).view(np.int64)
-        return partition_by_bucket(t.append_column("bucket", pa.array(b)),
-                                   "bucket", n_buckets)
+        h = hash_strings(col)
+        return h, t.append_column("content_hash",
+                                  pa.array(h.view(np.int64), type=pa.int64()))
 
     _SCHEMA = pa.schema([("doc_id", pa.int64()), ("text", pa.string())])
 
-    def reduce_min(*tables: pa.Table) -> pa.Table:
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return _SCHEMA.empty_table()
-        t = pa.concat_tables(live).combine_chunks()
+    def reduce_min(t: pa.Table) -> pa.Table:
         g = (t.group_by(["content_hash", "text"])
              .aggregate([("doc_id", "min")])
              .rename_columns(["content_hash", "text", "doc_id"]))
         return g.select(["doc_id", "text"]).cast(_SCHEMA)
 
-    _, reduced = bucket_exchange(ds.to_arrow_refs(), n_buckets,
-                                 part, reduce_min)
+    _, reduced = bucket_exchange(ds.to_arrow_refs(), 16,
+                                 part, reduce_min, _SCHEMA)
     return rd.from_arrow_refs(reduced)
 
 
@@ -4175,13 +4025,7 @@ def events_asof_join_orders(sf_dir: str, hot_threshold: float = 0.05,
     # is exactly the old per-group dedup-then-searchsorted('right')
     # semantics.  NULL event ts maps to +inf before the sort, matching
     # DuckDB's ASOF NULLS-LAST behavior (latest order) as before.
-    from json_remedy_ray.state.partitioning import (
-        bucket_exchange,
-        partition_by_bucket,
-    )
-    from json_remedy_ray.functions.vhash import _mix64
-
-    n_buckets = max(4, min(64, int(ray.cluster_resources().get("CPU", 8)) * 2))
+    from json_remedy_ray.state.partitioning import hash_key
 
     _ASOF_SCHEMA = pa.schema([
         ("event_id", pa.int64()), ("user_id", pa.int64()),
@@ -4189,25 +4033,10 @@ def events_asof_join_orders(sf_dir: str, hot_threshold: float = 0.05,
         ("matched_orderdate", pa.timestamp("us")),
     ])
 
-    def part(tbl: pa.Table) -> list[pa.Table]:
-        # empty union blocks can carry the pre-map parquet schema;
-        # zero-row slices are dropped by the reduce regardless
-        if tbl.num_rows == 0 or "key" not in tbl.schema.names:
-            return [tbl.slice(0, 0)] * n_buckets
-        key = (tbl["key"].to_numpy(zero_copy_only=False)
-               .astype(np.int64).view(np.uint64))
-        salt = (tbl["salt"].to_numpy(zero_copy_only=False)
-                .astype(np.int64).view(np.uint64))
-        b = (_mix64(key * np.uint64(0x9E3779B97F4A7C15) + salt)
-             % np.uint64(n_buckets)).view(np.int64)
-        return partition_by_bucket(tbl.append_column("bucket", pa.array(b)),
-                                   "bucket", n_buckets)
+    def part(tbl: pa.Table):
+        return hash_key(_col_np(tbl, "key"), _col_np(tbl, "salt")), tbl
 
-    def reduce_asof(*tables: pa.Table) -> pa.Table:
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return _ASOF_SCHEMA.empty_table()
-        t = pa.concat_tables(live).combine_chunks()
+    def reduce_asof(t: pa.Table) -> pa.Table:
         key = t["key"].to_numpy(zero_copy_only=False)
         salt = t["salt"].to_numpy(zero_copy_only=False)
         ts = t["ts"].to_numpy(zero_copy_only=False)          # datetime64[us]
@@ -4248,8 +4077,8 @@ def events_asof_join_orders(sf_dir: str, hot_threshold: float = 0.05,
     # returned LAZY-equivalent: refs stay in the object store; one output
     # row per input event — the gate's compare and bench's count both
     # consume the Dataset
-    _, reduced = bucket_exchange(tagged.to_arrow_refs(), n_buckets,
-                                 part, reduce_asof)
+    _, reduced = bucket_exchange(tagged.to_arrow_refs(), default_n_buckets(),
+                                 part, reduce_asof, _ASOF_SCHEMA)
     return rd.from_arrow_refs(reduced)
 
 
@@ -4316,13 +4145,7 @@ def orders_range_self_join(sf_dir: str, window_days: int = 30,
     tagged = orders_l.map_batches(tag_left, batch_format="pyarrow", batch_size=None).union(
         orders_r.map_batches(tag_right, batch_format="pyarrow", batch_size=None))
 
-    from json_remedy_ray.functions.vhash import _mix64
-    from json_remedy_ray.state.partitioning import (
-        bucket_exchange,
-        partition_by_bucket,
-    )
-
-    n_buckets = max(4, min(64, int(ray.cluster_resources().get("CPU", 8)) * 2))
+    from json_remedy_ray.state.partitioning import hash_key
 
     _RANGE_SCHEMA = pa.schema([
         ("o_custkey", pa.int64()), ("o_orderkey", pa.int64()),
@@ -4330,26 +4153,12 @@ def orders_range_self_join(sf_dir: str, window_days: int = 30,
         ("prior_orderkey", pa.int64()), ("prior_orderdate", pa.timestamp("us")),
     ])
 
-    def part(tbl: pa.Table) -> list[pa.Table]:
-        # empty union blocks can carry the pre-map parquet schema
-        if tbl.num_rows == 0 or "key" not in tbl.schema.names:
-            return [tbl.slice(0, 0)] * n_buckets
-        key = (tbl["key"].to_numpy(zero_copy_only=False)
-               .astype(np.int64).view(np.uint64))
-        salt = (tbl["salt"].to_numpy(zero_copy_only=False)
-                .astype(np.int64).view(np.uint64))
-        b = (_mix64(key * np.uint64(0x9E3779B97F4A7C15) + salt)
-             % np.uint64(n_buckets)).view(np.int64)
-        return partition_by_bucket(tbl.append_column("bucket", pa.array(b)),
-                                   "bucket", n_buckets)
+    def part(tbl: pa.Table):
+        return hash_key(_col_np(tbl, "key"), _col_np(tbl, "salt")), tbl
 
     win_i = np.int64(window_us.astype("timedelta64[us]").astype(np.int64))
 
-    def reduce_range(*tables: pa.Table) -> pa.Table:
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return _RANGE_SCHEMA.empty_table()
-        t = pa.concat_tables(live).combine_chunks()
+    def reduce_range(t: pa.Table) -> pa.Table:
         key = t["key"].to_numpy(zero_copy_only=False).astype(np.int64)
         salt = t["salt"].to_numpy(zero_copy_only=False).astype(np.int64)
         tsi = (t["ts"].to_numpy(zero_copy_only=False).view("int64"))
@@ -4403,8 +4212,8 @@ def orders_range_self_join(sf_dir: str, window_days: int = 30,
         return out.filter(pc.invert(pc.equal(out["o_orderkey"],
                                              out["prior_orderkey"])))
 
-    _, reduced = bucket_exchange(tagged.to_arrow_refs(), n_buckets,
-                                 part, reduce_range)
+    _, reduced = bucket_exchange(tagged.to_arrow_refs(), default_n_buckets(),
+                                 part, reduce_range, _RANGE_SCHEMA)
     return rd.from_arrow_refs(reduced)
 
 
@@ -4431,10 +4240,8 @@ def events_interarrival(sf_dir: str, hot_threshold: float = 0.05,
         predecessor — byte-identical to the single-group result.
         Timestamps are assumed non-null (as the LAG oracle's ORDER BY)."""
     from json_remedy_ray.state.partitioning import (
-        bucket_exchange,
         detect_hot_keys,
-        hash_bucket_of,
-        partition_by_bucket,
+        hash_key,
         salt_by_time_bucket,
         ts_int64_col,
     )
@@ -4444,7 +4251,7 @@ def events_interarrival(sf_dir: str, hot_threshold: float = 0.05,
                           "user_id", hot_threshold)
     hot_arr = np.array(sorted(hot), dtype=np.int64)
     bucket_us = salt_bucket_hours * 3_600_000_000
-    n_buckets = max(4, min(64, int(ray.cluster_resources().get("CPU", 8)) * 2))
+    n_buckets = default_n_buckets()
 
     _P1_SCHEMA = pa.schema([
         ("event_id", pa.int64()), ("user_id", pa.int64()),
@@ -4458,19 +4265,13 @@ def events_interarrival(sf_dir: str, hot_threshold: float = 0.05,
 
     _ts_i = ts_int64_col
 
-    def part1(tbl: pa.Table) -> list[pa.Table]:
+    def part1(tbl: pa.Table):
         user = _col_np(tbl, "user_id")
         salt = salt_by_time_bucket(user, _ts_i(tbl), hot_arr, bucket_us)
-        tbl = tbl.append_column("salt", pa.array(salt))
-        b = hash_bucket_of(user, salt, n_buckets)
-        return partition_by_bucket(tbl.append_column("bucket", pa.array(b)),
-                                   "bucket", n_buckets)
+        return (hash_key(user, salt),
+                tbl.append_column("salt", pa.array(salt)))
 
-    def reduce1(*tables: pa.Table) -> pa.Table:
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return _P1_SCHEMA.empty_table()
-        t = pa.concat_tables(live).combine_chunks()
+    def reduce1(t: pa.Table) -> pa.Table:
         user, salt = _col_np(t, "user_id"), _col_np(t, "salt")
         evid, ts_i = _col_np(t, "event_id"), _ts_i(t)
         order = np.lexsort((evid, ts_i, salt, user))
@@ -4495,17 +4296,11 @@ def events_interarrival(sf_dir: str, hot_threshold: float = 0.05,
             "grp_last_ts": pa.array(grp_last),
         }).cast(_P1_SCHEMA)
 
-    def part2(tbl: pa.Table) -> list[pa.Table]:
+    def part2(tbl: pa.Table):
         tbl = tbl.filter(tbl["is_boundary"])
-        b = hash_bucket_of(_col_np(tbl, "user_id"), None, n_buckets)
-        return partition_by_bucket(tbl.append_column("bucket", pa.array(b)),
-                                   "bucket", n_buckets)
+        return hash_key(_col_np(tbl, "user_id"), None), tbl
 
-    def reduce2(*tables: pa.Table) -> pa.Table:
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return _OUT_SCHEMA.empty_table()
-        t = pa.concat_tables(live).combine_chunks()
+    def reduce2(t: pa.Table) -> pa.Table:
         user, evid = _col_np(t, "user_id"), _col_np(t, "event_id")
         ts_i, last = _ts_i(t), _col_np(t, "grp_last_ts")
         order = np.lexsort((evid, ts_i, user))
@@ -4523,12 +4318,13 @@ def events_interarrival(sf_dir: str, hot_threshold: float = 0.05,
             "gap_us": pa.array(gap, from_pandas=True),
         }).cast(_OUT_SCHEMA)
 
-    _, p1 = bucket_exchange(ds.to_arrow_refs(), n_buckets, part1, reduce1)
+    _, p1 = bucket_exchange(ds.to_arrow_refs(), n_buckets, part1, reduce1,
+                            _P1_SCHEMA)
     interior = rd.from_arrow_refs(p1).map_batches(
         lambda b: (b.filter(pc.invert(b["is_boundary"]))
                     .select(_OUT_SCHEMA.names)),
         batch_format="pyarrow", batch_size=None)
-    _, p2 = bucket_exchange(p1, n_buckets, part2, reduce2)
+    _, p2 = bucket_exchange(p1, n_buckets, part2, reduce2, _OUT_SCHEMA)
     return interior.union(rd.from_arrow_refs(p2))
 
 
@@ -4558,10 +4354,8 @@ def events_running_total(sf_dir: str, hot_threshold: float = 0.05,
     engine's zero-fill intentionally defines those leading rows as 0
     — review round-4 finding."""
     from json_remedy_ray.state.partitioning import (
-        bucket_exchange,
         detect_hot_keys,
-        hash_bucket_of,
-        partition_by_bucket,
+        hash_key,
         salt_by_time_bucket,
         ts_int64_col,
     )
@@ -4571,7 +4365,7 @@ def events_running_total(sf_dir: str, hot_threshold: float = 0.05,
                           "user_id", hot_threshold)
     hot_arr = np.array(sorted(hot), dtype=np.int64)
     bucket_us = salt_bucket_hours * 3_600_000_000
-    n_buckets = max(4, min(64, int(ray.cluster_resources().get("CPU", 8)) * 2))
+    n_buckets = default_n_buckets()
 
     _P1_SCHEMA = pa.schema([
         ("event_id", pa.int64()), ("user_id", pa.int64()),
@@ -4585,7 +4379,7 @@ def events_running_total(sf_dir: str, hot_threshold: float = 0.05,
 
     _ts_i = ts_int64_col
 
-    def part1(tbl: pa.Table) -> list[pa.Table]:
+    def part1(tbl: pa.Table):
         user = _col_np(tbl, "user_id")
         salt = salt_by_time_bucket(user, _ts_i(tbl), hot_arr, bucket_us)
         v100 = pc.fill_null(
@@ -4595,15 +4389,9 @@ def events_running_total(sf_dir: str, hot_threshold: float = 0.05,
                       "ts": tbl["ts"].cast(pa.timestamp("us")),
                       "event_id": tbl["event_id"].cast(pa.int64()),
                       "salt": pa.array(salt), "v100": v100})
-        b = hash_bucket_of(user, salt, n_buckets)
-        return partition_by_bucket(t.append_column("bucket", pa.array(b)),
-                                   "bucket", n_buckets)
+        return hash_key(user, salt), t
 
-    def reduce1(*tables: pa.Table):
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return _P1_SCHEMA.empty_table()
-        t = pa.concat_tables(live).combine_chunks()
+    def reduce1(t: pa.Table):
         user, salt = _col_np(t, "user_id"), _col_np(t, "salt")
         evid, ts_i = _col_np(t, "event_id"), _ts_i(t)
         v = _col_np(t, "v100")
@@ -4628,12 +4416,11 @@ def events_running_total(sf_dir: str, hot_threshold: float = 0.05,
             "salt": pa.array(s), "run_v100": pa.array(run),
         }).cast(_P1_SCHEMA)
 
-    _, p1 = bucket_exchange(ds.to_arrow_refs(), n_buckets, part1, reduce1)
+    _, p1 = bucket_exchange(ds.to_arrow_refs(), n_buckets, part1, reduce1,
+                            _P1_SCHEMA)
 
     # phase 2: per-(user, salt) totals -> per-user prefix offsets
-    def part2(tbl: pa.Table) -> list[pa.Table]:
-        if tbl.num_rows == 0:
-            return [_CARRY_SCHEMA.empty_table()] * n_buckets
+    def part2(tbl: pa.Table):
         user, salt = _col_np(tbl, "user_id"), _col_np(tbl, "salt")
         run = _col_np(tbl, "run_v100")
         order = np.lexsort((_ts_i(tbl), salt, user))
@@ -4643,15 +4430,9 @@ def events_running_total(sf_dir: str, hot_threshold: float = 0.05,
         t = pa.table({"user_id": pa.array(u[last]),
                       "salt": pa.array(s[last]),
                       "grp_total": pa.array(r[last])}).cast(_CARRY_SCHEMA)
-        b = hash_bucket_of(u[last], None, n_buckets)
-        return partition_by_bucket(t.append_column("bucket", pa.array(b)),
-                                   "bucket", n_buckets)
+        return hash_key(u[last], None), t
 
-    def reduce2(*tables: pa.Table) -> pa.Table:
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return _CARRY_SCHEMA.empty_table()
-        t = pa.concat_tables(live).combine_chunks()
+    def reduce2(t: pa.Table) -> pa.Table:
         user = _col_np(t, "user_id")
         tot = _col_np(t, "grp_total")
         salt = _col_np(t, "salt")
@@ -4680,7 +4461,7 @@ def events_running_total(sf_dir: str, hot_threshold: float = 0.05,
                          "salt": pa.array(s[nzm]),
                          "grp_total": pa.array(carry[nzm])}).cast(_CARRY_SCHEMA)
 
-    _, p2 = bucket_exchange(p1, n_buckets, part2, reduce2)
+    _, p2 = bucket_exchange(p1, n_buckets, part2, reduce2, _CARRY_SCHEMA)
     # bounded: only nonzero (hot-user) carries survive reduce2
     carry_pdf = rd.from_arrow_refs(p2).to_pandas()
     # observable driver-side bound for the regression test (round-5
@@ -4937,11 +4718,6 @@ def _pack_chunked(read_fn, budget: int, chunk_rows: int,
     ``read_fn(columns)`` returns the (doc_id, source, text) Dataset —
     a callable so bench can feed the replicated corpus through the
     same code path as the sf-table queries."""
-    from json_remedy_ray.state.partitioning import (
-        bucket_exchange,
-        partition_by_bucket,
-    )
-
     ds = read_fn(["doc_id", "source", "text"])
 
     def tokens(batch: pa.Table) -> pa.Table:
@@ -5119,9 +4895,7 @@ def _pack_chunked(read_fn, budget: int, chunk_rows: int,
     base = np.concatenate(([0], np.cumsum(nch)))[:-1]
     total_chunks = int(nch.sum())
 
-    def part(tbl: pa.Table) -> list[pa.Table]:
-        if tbl.num_rows == 0:
-            return [tbl.slice(0, 0)] * total_chunks
+    def part(tbl: pa.Table):
         vs = pa.array(sources, type=tbl.schema.field("source").type)
         code = pc.index_in(tbl["source"], value_set=vs).to_numpy(
             zero_copy_only=False).astype(np.int64)
@@ -5132,14 +4906,9 @@ def _pack_chunked(read_fn, budget: int, chunk_rows: int,
             if m.any():
                 flat[m] = base[si] + np.searchsorted(src_cuts[si], x[m],
                                                      side="right")
-        return partition_by_bucket(tbl.append_column("bucket", pa.array(flat)),
-                                   "bucket", total_chunks)
+        return flat, tbl
 
-    def red(*tables: pa.Table) -> pa.Table:
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return tables[0].slice(0, 0)
-        t = pa.concat_tables(live).combine_chunks()
+    def red(t: pa.Table) -> pa.Table:
         # rank cuts bound a chunk at ~2x chunk_rows (target + final
         # bucket interpolation error); the only way past 8x is a
         # POINT-MASS doc_id — one value carrying > 8x chunk_rows docs —
@@ -5154,7 +4923,11 @@ def _pack_chunked(read_fn, budget: int, chunk_rows: int,
         order = np.argsort(_col_np(t, "doc_id"), kind="stable")
         return t.take(pa.array(order))
 
-    _, chunks = bucket_exchange(toks.to_arrow_refs(), total_chunks, part, red)
+    tok_schema = pa.schema(
+        [("source", pa.string()), ("doc_id", pa.int64()), ("t", pa.int64())]
+        + ([("text", pa.string())] if with_text else []))
+    _, chunks = bucket_exchange(toks.to_arrow_refs(), total_chunks, part, red,
+                                tok_schema)
 
     _DOC_SCHEMA = pa.schema([
         ("source", pa.string()), ("doc_id", pa.int64()),
@@ -5592,13 +5365,9 @@ def events_session_windows(sf_dir: str, gap_minutes: int = 30,
     # chain-merges with the identical boundary rule on
     # (start - prev_end).  Timestamps are assumed non-null (as the LAG
     # oracle SQL does).
-    from json_remedy_ray.state.partitioning import (
-        bucket_exchange,
-        partition_by_bucket,
-    )
-    from json_remedy_ray.functions.vhash import _mix64
+    from json_remedy_ray.state.partitioning import hash_key
 
-    n_buckets = max(4, min(64, int(ray.cluster_resources().get("CPU", 8)) * 2))
+    n_buckets = default_n_buckets()
     gap_us = np.int64(gap_minutes) * 60_000_000
 
     _SESS_SCHEMA = pa.schema([
@@ -5606,19 +5375,9 @@ def events_session_windows(sf_dir: str, gap_minutes: int = 30,
         ("session_end", pa.timestamp("us")), ("n_events", pa.int64()),
     ])
 
-    def _buckets_of(tbl: pa.Table, cols: list[str]) -> np.ndarray:
-        h = np.zeros(tbl.num_rows, dtype=np.uint64)
-        for c in cols:
-            v = (tbl[c].to_numpy(zero_copy_only=False)
-                 .astype(np.int64).view(np.uint64))
-            h = _mix64(h * np.uint64(0x9E3779B97F4A7C15) + v)
-        return (h % np.uint64(n_buckets)).view(np.int64)
-
-    def part1(tbl: pa.Table) -> list[pa.Table]:
+    def part1(tbl: pa.Table):
         tbl = add_salt(tbl)
-        b = _buckets_of(tbl, ["user_id", "salt"])
-        return partition_by_bucket(tbl.append_column("bucket", pa.array(b)),
-                                   "bucket", n_buckets)
+        return hash_key(_col_np(tbl, "user_id"), _col_np(tbl, "salt")), tbl
 
     def _segment_sessions(user, salt, ts_i, counts, boundary_extra=None):
         """Shared boundary+reduceat core.  counts is per-row event
@@ -5644,11 +5403,7 @@ def events_session_windows(sf_dir: str, gap_minutes: int = 30,
                                  .astype(np.int64)),
         }).cast(_SESS_SCHEMA)
 
-    def reduce1(*tables: pa.Table) -> pa.Table:
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return _SESS_SCHEMA.empty_table()
-        t = pa.concat_tables(live).combine_chunks()
+    def reduce1(t: pa.Table) -> pa.Table:
         user = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         salt = t["salt"].to_numpy(zero_copy_only=False).astype(np.int64)
         ts_i = (t["ts"].cast(pa.timestamp("us")).to_numpy(zero_copy_only=False)
@@ -5657,18 +5412,10 @@ def events_session_windows(sf_dir: str, gap_minutes: int = 30,
         u, s, ti = user[order], salt[order], ts_i[order]
         return _segment_sessions(u, s, (ti, ti), np.ones(len(u)))
 
-    def part2(tbl: pa.Table) -> list[pa.Table]:
-        if tbl.num_rows == 0:
-            return [tbl.slice(0, 0)] * n_buckets
-        b = _buckets_of(tbl, ["user_id"])
-        return partition_by_bucket(tbl.append_column("bucket", pa.array(b)),
-                                   "bucket", n_buckets)
+    def part2(tbl: pa.Table):
+        return hash_key(_col_np(tbl, "user_id"), None), tbl
 
-    def reduce2(*tables: pa.Table) -> pa.Table:
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return _SESS_SCHEMA.empty_table()
-        t = pa.concat_tables(live).combine_chunks()
+    def reduce2(t: pa.Table) -> pa.Table:
         user = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         st = t["session_start"].to_numpy(zero_copy_only=False).view("int64")
         en = t["session_end"].to_numpy(zero_copy_only=False).view("int64")
@@ -5677,8 +5424,9 @@ def events_session_windows(sf_dir: str, gap_minutes: int = 30,
         return _segment_sessions(user[order], None,
                                  (st[order], en[order]), cnt[order])
 
-    _, p1 = bucket_exchange(ds.to_arrow_refs(), n_buckets, part1, reduce1)
-    _, p2 = bucket_exchange(p1, n_buckets, part2, reduce2)
+    _, p1 = bucket_exchange(ds.to_arrow_refs(), n_buckets, part1, reduce1,
+                            _SESS_SCHEMA)
+    _, p2 = bucket_exchange(p1, n_buckets, part2, reduce2, _SESS_SCHEMA)
     return rd.from_arrow_refs(p2)
 
 
@@ -5693,37 +5441,24 @@ def events_funnel_conversion(sf_dir: str, gap_hours: int = 1):
     its user's rows and within the time window — EXISTS(any purchase in
     [ts, ts+T]) is equivalent to (next purchase at-or-after ts) <= ts+T.
     FULL SQL oracle via the EXISTS formulation."""
-    from json_remedy_ray.state.partitioning import (
-        bucket_exchange,
-        partition_by_bucket,
-    )
     from json_remedy_ray.functions.vhash import _mix64
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_type"])
-    n_buckets = max(4, min(64, int(ray.cluster_resources().get("CPU", 8)) * 2))
     gap_us = np.int64(gap_hours) * 3_600_000_000
 
     _SCHEMA = pa.schema([("user_id", pa.int64()), ("n_views", pa.int64()),
                          ("n_converted_views", pa.int64()),
                          ("converted", pa.bool_())])
 
-    def part(tbl: pa.Table) -> list[pa.Table]:
-        if tbl.num_rows == 0 or "user_id" not in tbl.schema.names:
-            return [tbl.slice(0, 0)] * n_buckets
+    def part(tbl: pa.Table):
         m = pc.is_in(tbl["event_type"],
                      value_set=pa.array(["view", "purchase"]))
         tbl = tbl.filter(m)                     # prune at the partition
         u = (tbl["user_id"].to_numpy(zero_copy_only=False)
              .astype(np.int64).view(np.uint64))
-        b = (_mix64(u) % np.uint64(n_buckets)).view(np.int64)
-        return partition_by_bucket(tbl.append_column("bucket", pa.array(b)),
-                                   "bucket", n_buckets)
+        return _mix64(u), tbl
 
-    def reduce_funnel(*tables: pa.Table) -> pa.Table:
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return _SCHEMA.empty_table()
-        t = pa.concat_tables(live).combine_chunks()
+    def reduce_funnel(t: pa.Table) -> pa.Table:
         tsa = t["ts"].cast(pa.timestamp("us"))
         null_ts = pc.is_null(tsa).to_numpy(zero_copy_only=False)
         is_p0 = pc.equal(t["event_type"], "purchase").to_numpy(
@@ -5768,8 +5503,8 @@ def events_funnel_conversion(sf_dir: str, gap_hours: int = 1):
             "converted": pa.array(n_conv[keep] > 0),
         }).cast(_SCHEMA)
 
-    _, reduced = bucket_exchange(ds.to_arrow_refs(), n_buckets,
-                                 part, reduce_funnel)
+    _, reduced = bucket_exchange(ds.to_arrow_refs(), default_n_buckets(),
+                                 part, reduce_funnel, _SCHEMA)
     return rd.from_arrow_refs(reduced)
 
 
@@ -5788,20 +5523,13 @@ def distinct_users_by_type(sf_dir: str):
     its users are NULL — and a NULL event_type is itself a group.
     FULL SQL oracle."""
     from json_remedy_ray.functions.vhash import _mix64, hash_strings
-    from json_remedy_ray.state.partitioning import (
-        bucket_exchange,
-        partition_by_bucket,
-    )
 
-    n_buckets = 16
     ds = _read(sf_dir, "events", columns=["event_type", "user_id"])
 
     _SCHEMA = pa.schema([("event_type", pa.string()),
                          ("n_users", pa.int64())])
 
-    def part(tbl: pa.Table) -> list[pa.Table]:
-        if tbl.num_rows == 0 or "event_type" not in tbl.schema.names:
-            return [tbl.slice(0, 0)] * n_buckets
+    def part(tbl: pa.Table):
         # NULL users ride through the exchange (so their type still
         # appears) but hash as 0 — fill_null BEFORE the int view, which
         # would otherwise float-promote; all (type, NULL) rows land in
@@ -5809,18 +5537,10 @@ def distinct_users_by_type(sf_dir: str):
         g = tbl.group_by(["event_type", "user_id"]).aggregate([])
         u = (pc.fill_null(g["user_id"], 0).to_numpy(zero_copy_only=False)
              .astype(np.int64).view(np.uint64))
-        th = hash_strings(g["event_type"].combine_chunks()
-                          if isinstance(g["event_type"], pa.ChunkedArray)
-                          else g["event_type"])
-        b = (_mix64(th ^ _mix64(u)) % np.uint64(n_buckets)).view(np.int64)
-        return partition_by_bucket(g.append_column("bucket", pa.array(b)),
-                                   "bucket", n_buckets)
+        th = hash_strings(g["event_type"].combine_chunks())
+        return _mix64(th ^ _mix64(u)), g
 
-    def reduce_count(*tables: pa.Table) -> pa.Table:
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return _SCHEMA.empty_table()
-        t = pa.concat_tables(live).combine_chunks()
+    def reduce_count(t: pa.Table) -> pa.Table:
         # pairs are distinct per block, not globally: one more dedup.
         # Arrow's count aggregates only_valid by default, so a NULL
         # user contributes the type row but not the count
@@ -5828,8 +5548,8 @@ def distinct_users_by_type(sf_dir: str):
         c = g.group_by("event_type").aggregate([("user_id", "count")])
         return c.rename_columns(["event_type", "n_users"]).cast(_SCHEMA)
 
-    _, reduced = bucket_exchange(ds.to_arrow_refs(), n_buckets,
-                                 part, reduce_count)
+    _, reduced = bucket_exchange(ds.to_arrow_refs(), 16,
+                                 part, reduce_count, _SCHEMA)
     pdf = rd.from_arrow_refs(reduced).to_pandas()
     # dropna=False: a NULL event_type is a group in SQL GROUP BY too
     out = (pdf.groupby("event_type", as_index=False, dropna=False)
@@ -5847,20 +5567,13 @@ def daily_active_users(sf_dir: str):
     a NULL-ts day is itself a group).  FULL SQL oracle via
     date_trunc('day', ts) + COUNT(DISTINCT user_id)."""
     from json_remedy_ray.functions.vhash import _mix64
-    from json_remedy_ray.state.partitioning import (
-        bucket_exchange,
-        partition_by_bucket,
-    )
 
-    n_buckets = 16
     ds = _read(sf_dir, "events", columns=["ts", "user_id"])
 
     _SCHEMA = pa.schema([("day", pa.timestamp("us")),
                          ("n_users", pa.int64())])
 
-    def part(tbl: pa.Table) -> list[pa.Table]:
-        if tbl.num_rows == 0 or "ts" not in tbl.schema.names:
-            return [_SCHEMA.empty_table()] * n_buckets
+    def part(tbl: pa.Table):
         day = pc.floor_temporal(tbl["ts"].cast(pa.timestamp("us")),
                                 unit="day")
         t = pa.table({"day": day, "user_id": tbl["user_id"]})
@@ -5872,22 +5585,15 @@ def daily_active_users(sf_dir: str):
               .view(np.uint64))
         u = (pc.fill_null(g["user_id"], 0).to_numpy(zero_copy_only=False)
              .astype(np.int64).view(np.uint64))
-        b = (_mix64(_mix64(dk) ^ _mix64(u))
-             % np.uint64(n_buckets)).view(np.int64)
-        return partition_by_bucket(g.append_column("bucket", pa.array(b)),
-                                   "bucket", n_buckets)
+        return _mix64(_mix64(dk) ^ _mix64(u)), g
 
-    def reduce_count(*tables: pa.Table) -> pa.Table:
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return _SCHEMA.empty_table()
-        t = pa.concat_tables(live).combine_chunks()
+    def reduce_count(t: pa.Table) -> pa.Table:
         g = t.group_by(["day", "user_id"]).aggregate([])
         c = g.group_by("day").aggregate([("user_id", "count")])
         return c.rename_columns(["day", "n_users"]).cast(_SCHEMA)
 
-    _, reduced = bucket_exchange(ds.to_arrow_refs(), n_buckets,
-                                 part, reduce_count)
+    _, reduced = bucket_exchange(ds.to_arrow_refs(), 16,
+                                 part, reduce_count, _SCHEMA)
     pdf = rd.from_arrow_refs(reduced).to_pandas()
     out = (pdf.groupby("day", as_index=False, dropna=False)["n_users"]
            .sum().sort_values("day").reset_index(drop=True))
@@ -6200,21 +5906,13 @@ def winnow_planted_recovery(sf_dir: str, n_buckets: int = 32,
     edit-position robustness does."""
     from json_remedy_ray.stages.dedup import components_from_pairs
     from json_remedy_ray.stages.textstats import _winnow_batch
-    from json_remedy_ray.state.partitioning import (
-        bucket_exchange,
-        partition_by_bucket,
-    )
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text", "n_chars"])
     ds = _with_planted(ds, " ~dup", modulo=7, min_chars=300)
 
-    _MID = pa.schema([("fp", pa.int64()), ("doc_id", pa.int64())])
     _PAIRS = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64())])
-    nb = np.uint64(n_buckets)
 
-    def part(tbl: pa.Table) -> list[pa.Table]:
-        if tbl.num_rows == 0 or "doc_id" not in tbl.schema.names:
-            return [_MID.empty_table()] * n_buckets
+    def part(tbl: pa.Table):
         col = tbl["text"]
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
@@ -6230,16 +5928,10 @@ def winnow_planted_recovery(sf_dir: str, n_buckets: int = 32,
         first = np.ones(len(f_s), dtype=bool)
         first[1:] = (f_s[1:] != f_s[:-1]) | (p_s[1:] != p_s[:-1])
         f_s, p_s = f_s[first], p_s[first]
-        out = pa.table({"fp": pa.array(f_s.view(np.int64)),
-                        "doc_id": pa.array(p_s),
-                        "bucket": pa.array((f_s % nb).view(np.int64))})
-        return partition_by_bucket(out, "bucket", n_buckets)
+        return f_s, pa.table({"fp": pa.array(f_s.view(np.int64)),
+                              "doc_id": pa.array(p_s)})
 
-    def red(*tables: pa.Table) -> pa.Table:
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return _PAIRS.empty_table()
-        t = pa.concat_tables(live).combine_chunks()
+    def red(t: pa.Table) -> pa.Table:
         fps = t["fp"].to_numpy(zero_copy_only=False)
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
         order = np.lexsort((ids, fps))
@@ -6260,7 +5952,8 @@ def winnow_planted_recovery(sf_dir: str, n_buckets: int = 32,
         return pa.table({"doc_a": pa.array(a_s[keep]),
                          "doc_b": pa.array(b_s[keep])}).cast(_PAIRS)
 
-    _, reduced = bucket_exchange(ds.to_arrow_refs(), n_buckets, part, red)
+    _, reduced = bucket_exchange(ds.to_arrow_refs(), n_buckets, part, red,
+                                 _PAIRS)
     pairs_ds = rd.from_arrow_refs(reduced)
     # driver guard: unlike MinHash (fixed bands/doc), fingerprint-candidate
     # pairs can approach O(chars) on a pathological all-near-dup corpus —

@@ -570,24 +570,15 @@ def minhash_dedup_pairs(ds: rd.Dataset, threshold: float = 0.8, num_perm: int = 
     dominated end-to-end time (measured: 130-180 s for 1.2M docs vs
     ~35 s fused).  One partition task per INPUT block keeps the object
     count at blocks x n_buckets with right-sized ~1 s tasks."""
-    from json_remedy_ray.state.partitioning import (
-        bucket_exchange,
-        partition_by_bucket,
-    )
+    from json_remedy_ray.state.partitioning import bucket_exchange
 
     stage = MinHashStage(num_perm=num_perm, bands=bands, shingle_k=shingle_k,
                          id_col=id_col, text_col=text_col)
 
     spanning = mode == "spanning"
 
-    def part(tbl: pa.Table) -> list[pa.Table]:
-        # empty blocks can surface with a pre-map schema; zero-row
-        # slices are dropped by the reduce regardless
-        side_empty = _PAIRS_SCHEMA.empty_table()
-        if tbl.num_rows == 0 or id_col not in tbl.schema.names:
-            slots = [tbl.slice(0, 0)] * n_buckets
-            return [side_empty] + slots if spanning else slots
-        side = side_empty
+    def part(tbl: pa.Table):
+        side = _PAIRS_SCHEMA.empty_table()
         if spanning:
             ids_arr, sig = stage.signatures(tbl)
             if ids_arr.null_count:
@@ -608,17 +599,10 @@ def minhash_dedup_pairs(ds: rd.Dataset, threshold: float = 0.8, num_perm: int = 
             tbl = stage(tbl)
         h = tbl["band_hash"].to_numpy(zero_copy_only=False).view(np.uint64)
         band = tbl["band"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        bucket = ((h + band * np.uint64(0x9E3779B97F4A7C15))
-                  % np.uint64(n_buckets)).view(np.int64)
-        tbl = tbl.append_column("bucket", pa.array(bucket))
-        slots = partition_by_bucket(tbl, "bucket", n_buckets)
-        return [side] + slots if spanning else slots
+        key = h + band * np.uint64(0x9E3779B97F4A7C15)
+        return (side, key, tbl) if spanning else (key, tbl)
 
-    def reduce_pairs(*tables: pa.Table) -> pa.Table:
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return _PAIRS_SCHEMA.empty_table()
-        tbl = pa.concat_tables(live).combine_chunks()
+    def reduce_pairs(tbl: pa.Table) -> pa.Table:
         h = tbl["band_hash"].to_numpy(zero_copy_only=False)
         band = tbl["band"].to_numpy(zero_copy_only=False)
         if mode == "spanning":
@@ -643,8 +627,9 @@ def minhash_dedup_pairs(ds: rd.Dataset, threshold: float = 0.8, num_perm: int = 
         return pa.Table.from_pandas(res, schema=_PAIRS_SCHEMA,
                                     preserve_index=False)
 
-    side, reduced = bucket_exchange(ds.to_arrow_refs(), n_buckets,
-                                    part, reduce_pairs, side=spanning)
+    side, reduced = bucket_exchange(
+        ds.to_arrow_refs(), n_buckets, part, reduce_pairs, _PAIRS_SCHEMA,
+        side=_PAIRS_SCHEMA if spanning else None)
     return rd.from_arrow_refs(list(reduced) + list(side))
 
 
@@ -716,6 +701,10 @@ def components_min_label(pairs: rd.Dataset, max_iters: int = 128,
     import ray
 
     from json_remedy_ray.functions.vhash import _mix64
+    from json_remedy_ray.state.partitioning import (
+        default_n_buckets,
+        partition_by_bucket,
+    )
 
     edges_ds = pairs.map_batches(
         lambda b: pa.table({
@@ -733,7 +722,7 @@ def components_min_label(pairs: rd.Dataset, max_iters: int = 128,
                               "dup_of": pd.Series([], dtype="int64")})
         return (empty, 0) if return_rounds else empty
 
-    nb = n_buckets or max(4, min(32, int(ray.cluster_resources().get("CPU", 8))))
+    nb = n_buckets or default_n_buckets()
 
     def _bucket_of(x: np.ndarray) -> np.ndarray:
         return (_mix64(x.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
@@ -747,12 +736,8 @@ def components_min_label(pairs: rd.Dataset, max_iters: int = 128,
         if tbl.num_rows == 0:
             out = [_EDGE_SCHEMA.empty_table()] * nb
             return tuple(out) if nb > 1 else out[0]
-        from json_remedy_ray.state.partitioning import partition_by_bucket
-
-        b = _bucket_of(tbl["node"].to_numpy(zero_copy_only=False))
-        out = partition_by_bucket(tbl.append_column("bucket", pa.array(b)),
-                                  "bucket", nb)
-        out = [t.select(["node", "nbr"]) for t in out]
+        out = partition_by_bucket(
+            tbl, _bucket_of(tbl["node"].to_numpy(zero_copy_only=False)), nb)
         return tuple(out) if nb > 1 else out[0]
 
     @ray.remote(num_returns=2)
@@ -1171,13 +1156,7 @@ def line_dedup(ds: rd.Dataset, id_col: str = "doc_id",
     import ray
     import pyarrow.compute as pc
 
-    from json_remedy_ray.state.partitioning import (
-        bucket_exchange,
-        merge_sorted,
-        partition_by_bucket,
-    )
-
-    nb = np.int64(n_buckets)
+    from json_remedy_ray.state.partitioning import bucket_exchange, merge_sorted
 
     def join_lines(kept_flat: pa.Array, new_offs: np.ndarray) -> pa.Array:
         # offset/separator types must match the flat string type
@@ -1211,38 +1190,31 @@ def line_dedup(ds: rd.Dataset, id_col: str = "doc_id",
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)[parents]
         return hash_strings(flat).view(np.int64), flat, ids, line_no
 
-    def explode_partition(batch: pa.Table) -> list[pa.Table]:
+    def explode_partition(batch: pa.Table):
         """Exchange map side: split one corpus block into lines, mark
         block-local losers (the combiner — they are definite global
-        drops and never enter the exchange), and slice the block-first
-        candidates into line_hash buckets.  Returns
-        [local_drops, bucket_0 .. bucket_{nb-1}]."""
+        drops and never enter the exchange), and key the block-first
+        candidates by line_hash.  Returns (local_drops, key, cands)."""
         h, flat, ids, line_no = split_lines(batch)
         order, sorted_text, dup = first_occurrence_dups(h, flat, ids, line_no)
         hs, idss, lns = h[order], ids[order], line_no[order]
         drops = pa.table({"doc_id": pa.array(idss[dup], type=pa.int64()),
                           "line_no": pa.array(lns[dup], type=pa.int64())})
         keep = ~dup
+        hk = hs[keep]
         cands = pa.table({
-            "bucket": pa.array(hs[keep] % nb),
-            "line_hash": pa.array(hs[keep]),
+            "line_hash": pa.array(hk),
             "line": sorted_text.filter(pa.array(keep)),
             "doc_id": pa.array(idss[keep], type=pa.int64()),
             "line_no": pa.array(lns[keep], type=pa.int64()),
         })
-        return [drops] + partition_by_bucket(cands, "bucket", n_buckets)
+        return drops, hk.view(np.uint64), cands
 
-    def resolve(*tables: pa.Table) -> pa.Table:
+    def resolve(tbl: pa.Table) -> pa.Table:
         """Exchange reduce side: all of one bucket's candidates at once —
         one numeric lexsort resolves every line's global winner; losing
         (doc_id, line_no) pairs are the global drops."""
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return _DROPS_SCHEMA.empty_table()
-        tbl = pa.concat_tables(live)
-        texts = tbl["line"]
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
+        texts = tbl["line"].chunk(0)
         h = tbl["line_hash"].to_numpy(zero_copy_only=False)
         ids = tbl["doc_id"].to_numpy(zero_copy_only=False)
         lns = tbl["line_no"].to_numpy(zero_copy_only=False)
@@ -1268,7 +1240,7 @@ def line_dedup(ds: rd.Dataset, id_col: str = "doc_id",
     # tier for semantics the Dataset API can't express at cost).
     side_refs, reduced_refs = bucket_exchange(
         ds.to_arrow_refs(), n_buckets, explode_partition, resolve,
-        side=True)
+        _DROPS_SCHEMA, side=_DROPS_SCHEMA)
 
     # ---- route the drops to the documents ----------------------------
     # Drops are 16-byte rows; ONE task merges every side and reduce
@@ -1700,18 +1672,12 @@ def crossdoc_span_dedup(ds: rd.Dataset, n: int = 8, n_buckets: int = 32,
     import ray
     import pyarrow.compute as pc
 
-    from json_remedy_ray.state.partitioning import (
-        bucket_exchange,
-        merge_sorted,
-        partition_by_bucket,
-    )
+    from json_remedy_ray.state.partitioning import bucket_exchange, merge_sorted
 
     _SPAN_SCHEMA = pa.schema([("doc_id", pa.int64()), ("s", pa.int64()),
                               ("e", pa.int64())])
 
-    def part_occ(tbl: pa.Table) -> list[pa.Table]:
-        if tbl.num_rows == 0 or text_col not in tbl.schema.names:
-            return [_SPAN_SCHEMA.empty_table().slice(0, 0)] * n_buckets
+    def part_occ(tbl: pa.Table):
         col = tbl[text_col]
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
@@ -1721,15 +1687,9 @@ def crossdoc_span_dedup(ds: rd.Dataset, n: int = 8, n_buckets: int = 32,
         ids = tbl[id_col].to_numpy(zero_copy_only=False).astype(np.int64)[gp]
         t = pa.table({"gram": pa.array(g.view(np.int64)),
                       "doc_id": pa.array(ids), "pos": pa.array(pos)})
-        b = (g % np.uint64(n_buckets)).view(np.int64)
-        return partition_by_bucket(t.append_column("bucket", pa.array(b)),
-                                   "bucket", n_buckets)
+        return g, t
 
-    def reduce_spans(*tables: pa.Table) -> pa.Table:
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return _SPAN_SCHEMA.empty_table()
-        t = pa.concat_tables(live).combine_chunks()
+    def reduce_spans(t: pa.Table) -> pa.Table:
         gram = t["gram"].to_numpy(zero_copy_only=False)
         doc = t["doc_id"].to_numpy(zero_copy_only=False)
         pos = t["pos"].to_numpy(zero_copy_only=False)
@@ -1752,7 +1712,7 @@ def crossdoc_span_dedup(ds: rd.Dataset, n: int = 8, n_buckets: int = 32,
     # read these blocks (otherwise the upstream plan executes twice)
     ds = ds.materialize()
     _, reduced = bucket_exchange(ds.to_arrow_refs(), n_buckets,
-                                 part_occ, reduce_spans)
+                                 part_occ, reduce_spans, _SPAN_SCHEMA)
 
     _OUT_SCHEMA = pa.schema([("doc_id", pa.int64()),
                              ("n_tokens", pa.int64()),
@@ -1923,22 +1883,15 @@ def crossdoc_ngram_stats(ds: rd.Dataset, n: int = 8, n_buckets: int = 32,
     import pyarrow.compute as pc
 
     from json_remedy_ray.functions.vhash import _mix64
-    from json_remedy_ray.state.partitioning import (
-        bucket_exchange,
-        partition_by_bucket,
-    )
+    from json_remedy_ray.state.partitioning import bucket_exchange
 
     _PART_SCHEMA = pa.schema([("doc_id", pa.int64()),
                               ("n_grams", pa.int64()),
                               ("dup_grams", pa.int64())])
 
-    def part_grams(tbl: pa.Table) -> list[pa.Table]:
-        # slot 0 is the side output: one (doc_id, 0, 0) row per doc, so
-        # gram-less docs reach the final sum without a second corpus scan
-        empty = pa.table({"gram": pa.array([], pa.int64()),
-                          "doc_id": pa.array([], pa.int64())})
-        if tbl.num_rows == 0 or text_col not in tbl.schema.names:
-            return [_PART_SCHEMA.empty_table()] + [empty] * n_buckets
+    def part_grams(tbl: pa.Table):
+        # the side output: one (doc_id, 0, 0) row per doc, so gram-less
+        # docs reach the final sum without a second corpus scan
         z = np.zeros(tbl.num_rows, dtype=np.int64)
         zeros = pa.table({"doc_id": tbl[id_col].cast(pa.int64()),
                           "n_grams": pa.array(z), "dup_grams": pa.array(z)})
@@ -1948,20 +1901,12 @@ def crossdoc_ngram_stats(ds: rd.Dataset, n: int = 8, n_buckets: int = 32,
         if col.null_count:
             col = pc.fill_null(col, "")
         g, gp = _word_ngram_hash_sets(col, n=n)
-        if not len(g):
-            return [zeros] + [empty] * n_buckets
         ids = tbl[id_col].to_numpy(zero_copy_only=False).astype(np.int64)[gp]
         t = pa.table({"gram": pa.array(g.view(np.int64)),
                       "doc_id": pa.array(ids)})
-        b = (g % np.uint64(n_buckets)).view(np.int64)
-        return [zeros] + partition_by_bucket(
-            t.append_column("bucket", pa.array(b)), "bucket", n_buckets)
+        return zeros, g, t
 
-    def reduce_gramcounts(*tables: pa.Table) -> pa.Table:
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return _PART_SCHEMA.empty_table()
-        t = pa.concat_tables(live).combine_chunks()
+    def reduce_gramcounts(t: pa.Table) -> pa.Table:
         gram = t["gram"].to_numpy(zero_copy_only=False)
         doc = t["doc_id"].to_numpy(zero_copy_only=False)
         order = np.argsort(gram, kind="stable")
@@ -1981,20 +1926,12 @@ def crossdoc_ngram_stats(ds: rd.Dataset, n: int = 8, n_buckets: int = 32,
             "dup_grams": pa.array(dup_grams.astype(np.int64)),
         })
 
-    def part_docs(tbl: pa.Table) -> list[pa.Table]:
-        if tbl.num_rows == 0 or "doc_id" not in tbl.schema.names:
-            return [_PART_SCHEMA.empty_table()] * n_buckets
+    def part_docs(tbl: pa.Table):
         d = (tbl["doc_id"].to_numpy(zero_copy_only=False)
              .astype(np.int64).view(np.uint64))
-        b = (_mix64(d) % np.uint64(n_buckets)).view(np.int64)
-        return partition_by_bucket(tbl.append_column("bucket", pa.array(b)),
-                                   "bucket", n_buckets)
+        return _mix64(d), tbl
 
-    def reduce_docsum(*tables: pa.Table) -> pa.Table:
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return _PART_SCHEMA.empty_table()
-        t = pa.concat_tables(live).combine_chunks()
+    def reduce_docsum(t: pa.Table) -> pa.Table:
         g = t.group_by("doc_id").aggregate([("n_grams", "sum"),
                                             ("dup_grams", "sum")])
         return g.rename_columns(["doc_id", "n_grams", "dup_grams"]).cast(
@@ -2002,7 +1939,7 @@ def crossdoc_ngram_stats(ds: rd.Dataset, n: int = 8, n_buckets: int = 32,
 
     zeros, partials = bucket_exchange(ds.to_arrow_refs(), n_buckets,
                                       part_grams, reduce_gramcounts,
-                                      side=True)
+                                      _PART_SCHEMA, side=_PART_SCHEMA)
     _, summed = bucket_exchange(list(partials) + list(zeros), n_buckets,
-                                part_docs, reduce_docsum)
+                                part_docs, reduce_docsum, _PART_SCHEMA)
     return rd.from_arrow_refs(summed)

@@ -108,17 +108,19 @@ def extract_outlink_anchors(html: pa.Array | pa.ChunkedArray):
     return parents, pc.struct_field(m, "host"), pc.struct_field(m, "a")
 
 
-def _host_bucket(hosts: pa.Array, n_buckets: int) -> np.ndarray:
+def _host_key(hosts: pa.Array) -> np.ndarray:
     """The ONE router for both roles (src routing and host-universe
     routing) — the doc_id_bucket lesson: co-location breaks silently if
     the two sides hash differently."""
     from json_remedy_ray.functions.vhash import hash_strings
 
-    return (hash_strings(hosts) % np.uint64(n_buckets)).view(np.int64)
+    return hash_strings(hosts)
 
 
 _EDGE_SCHEMA = pa.schema([("src", pa.string()), ("dst", pa.string()),
                           ("w", pa.int64())])
+_OUTW_SCHEMA = _EDGE_SCHEMA.append(pa.field("outw", pa.int64()))
+_HOST_SCHEMA = pa.schema([("host", pa.string())])
 
 
 def pagerank_refs(edge_refs, n_buckets: int = 8, iters: int = 5,
@@ -133,34 +135,21 @@ def pagerank_refs(edge_refs, n_buckets: int = 8, iters: int = 5,
     """
     import ray
 
-    from json_remedy_ray.state.partitioning import partition_by_bucket
+    from json_remedy_ray.state.partitioning import (
+        bucket_exchange,
+        partition_by_bucket,
+    )
 
     def _col(t: pa.Table, name: str) -> pa.Array:
         c = t[name]
         return c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
 
     # ---- phase A1: edges, hash-partitioned ONCE by src ----------------
-    def _one_or_tuple(slices):
-        # num_returns=1 means Ray expects the bare value, not a 1-tuple
-        return tuple(slices) if n_buckets > 1 else slices[0]
-
-    @ray.remote(num_returns=n_buckets)
     def _part_edges(tbl: pa.Table):
         tbl = tbl.cast(_EDGE_SCHEMA)
-        if tbl.num_rows == 0:
-            return _one_or_tuple([_EDGE_SCHEMA.empty_table()] * n_buckets)
-        b = _host_bucket(_col(tbl, "src"), n_buckets)
-        return _one_or_tuple(partition_by_bucket(
-            tbl.append_column("bucket", pa.array(b)), "bucket", n_buckets))
+        return _host_key(_col(tbl, "src")), tbl
 
-    @ray.remote
-    def _edges_reduce(*tables: pa.Table) -> pa.Table:
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return pa.schema([("src", pa.string()), ("dst", pa.string()),
-                              ("w", pa.int64()), ("outw", pa.int64())
-                              ]).empty_table()
-        t = pa.concat_tables(live).combine_chunks()
+    def _edges_reduce(t: pa.Table) -> pa.Table:
         g = t.group_by(["src", "dst"]).aggregate([("w", "sum")])
         # select aggregate/key columns BY NAME — the key/agg column
         # order differs across pyarrow versions
@@ -172,36 +161,26 @@ def pagerank_refs(edge_refs, n_buckets: int = 8, iters: int = 5,
         return g.append_column("outw", outw.cast(pa.int64()))
 
     # ---- phase A2: host universe, same hash, per-bucket distinct ------
-    @ray.remote(num_returns=n_buckets)
     def _part_hosts(tbl: pa.Table):
         tbl = tbl.cast(_EDGE_SCHEMA)
         hosts = pc.unique(pa.concat_arrays(
             [_col(tbl, "src"), _col(tbl, "dst")]))
-        out = pa.table({"host": hosts})
-        if len(hosts) == 0:
-            return _one_or_tuple([out] * n_buckets)
-        b = _host_bucket(hosts, n_buckets)
-        return _one_or_tuple(partition_by_bucket(
-            out.append_column("bucket", pa.array(b)), "bucket", n_buckets))
+        return _host_key(hosts), pa.table({"host": hosts})
 
-    @ray.remote
-    def _hosts_reduce(*tables: pa.Table) -> pa.Table:
-        arrs = [_col(t, "host") for t in tables if t.num_rows]
-        if not arrs:
-            return pa.table({"host": pa.array([], type=pa.string())})
-        u = pc.unique(pa.concat_arrays(arrs))
+    def _hosts_reduce(t: pa.Table) -> pa.Table:
+        u = pc.unique(t["host"].chunk(0))
         return pa.table({"host": u.take(pc.array_sort_indices(u))})
 
-    eouts = [_part_edges.remote(r) for r in edge_refs]
-    houts = [_part_hosts.remote(r) for r in edge_refs]
-    if n_buckets == 1:
-        eouts, houts = [[o] for o in eouts], [[o] for o in houts]
-    edges_b = [_edges_reduce.remote(*[o[b] for o in eouts])
-               for b in range(n_buckets)]
-    hosts_b = [_hosts_reduce.remote(*[o[b] for o in houts])
-               for b in range(n_buckets)]
+    _, edges_b = bucket_exchange(edge_refs, n_buckets, _part_edges,
+                                 _edges_reduce, _OUTW_SCHEMA)
+    _, hosts_b = bucket_exchange(edge_refs, n_buckets, _part_hosts,
+                                 _hosts_reduce, _HOST_SCHEMA)
 
     # ---- phase B: K iterations of contribute -> exchange -> sum -------
+    def _one_or_tuple(slices):
+        # num_returns=1 means Ray expects the bare value, not a 1-tuple
+        return tuple(slices) if n_buckets > 1 else slices[0]
+
     @ray.remote
     def _init_ranks(hosts: pa.Table) -> pa.Table:
         return pa.table({
@@ -223,9 +202,8 @@ def pagerank_refs(edge_refs, n_buckets: int = 8, iters: int = 5,
         c = (r * d_num // d_den) * w // outw
         t = pa.table({"dst": edges["dst"],
                       "c": pa.array(c, type=pa.int64())}).cast(sch)
-        b = _host_bucket(_col(t, "dst"), n_buckets)
         return _one_or_tuple(partition_by_bucket(
-            t.append_column("bucket", pa.array(b)), "bucket", n_buckets))
+            t, _host_key(_col(t, "dst")), n_buckets))
 
     @ray.remote
     def _new_ranks(hosts: pa.Table, *slices: pa.Table) -> pa.Table:

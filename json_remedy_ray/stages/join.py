@@ -27,10 +27,10 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from json_remedy_ray.functions.vhash import _mix64, hash_strings
-from json_remedy_ray.state.partitioning import join_exchange, partition_by_bucket
+from json_remedy_ray.state.partitioning import join_exchange
 
 
-def _key_buckets(tbl: pa.Table, key: str, n_buckets: int) -> np.ndarray:
+def _key_hash(tbl: pa.Table, key: str) -> np.ndarray:
     col = tbl[key]
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
@@ -43,10 +43,8 @@ def _key_buckets(tbl: pa.Table, key: str, n_buckets: int) -> np.ndarray:
         ints = col.cast(pa.int64())
         if ints.null_count:
             ints = pc.fill_null(ints, 0)
-        h = _mix64(ints.to_numpy(zero_copy_only=False).view(np.uint64))
-    else:
-        h = hash_strings(col)
-    return (h % np.uint64(n_buckets)).view(np.int64)
+        return _mix64(ints.to_numpy(zero_copy_only=False).view(np.uint64))
+    return hash_strings(col)
 
 
 def hash_join(left: rd.Dataset, right: rd.Dataset,
@@ -62,31 +60,19 @@ def hash_join(left: rd.Dataset, right: rd.Dataset,
     rkeys = [right_on] if isinstance(right_on, str) else list(right_on)
 
     def part_side(key: str):
-        def part(tbl: pa.Table) -> list[pa.Table]:
-            # empty blocks can surface with a pre-map schema (observed on
-            # union datasets); zero-row slices are dropped by the reduce
-            if tbl.num_rows == 0 or key not in tbl.schema.names:
-                return [tbl.slice(0, 0)] * n_buckets
-            b = _key_buckets(tbl, key, n_buckets)
-            tbl = tbl.append_column("__bucket", pa.array(b))
-            out = partition_by_bucket(tbl, "__bucket", n_buckets)
-            return [t.drop_columns(["__bucket"]) for t in out]
-        return part
+        return lambda tbl: (_key_hash(tbl, key), tbl)
 
-    # driver-side schemas let a bucket whose only blocks were the
-    # wrong-schema empties still produce a consistently-typed result
-    ls, rs = left.schema(), right.schema()
-    l_empty = pa.schema(list(zip(ls.names, ls.types))).empty_table()
-    r_empty = pa.schema(list(zip(rs.names, rs.types))).empty_table()
-
-    def reduce_join(left_tabs, right_tabs) -> pa.Table:
-        lts = [t for t in left_tabs if lkeys[0] in t.schema.names] or [l_empty]
-        rts = [t for t in right_tabs if rkeys[0] in t.schema.names] or [r_empty]
-        lt = pa.concat_tables(lts, promote_options="none")
-        rt = pa.concat_tables(rts, promote_options="none")
+    def reduce_join(lt: pa.Table, rt: pa.Table) -> pa.Table:
         return lt.join(rt, keys=lkeys, right_keys=rkeys, join_type=how)
 
+    # driver-side schemas type a bucket side that received no rows
+    ls, rs = left.schema(), right.schema()
+    l_schema = pa.schema(list(zip(ls.names, ls.types)))
+    r_schema = pa.schema(list(zip(rs.names, rs.types)))
+    out_schema = reduce_join(l_schema.empty_table(),
+                             r_schema.empty_table()).schema
     reduced = join_exchange(left.to_arrow_refs(), right.to_arrow_refs(),
                             n_buckets, part_side(lkeys[0]),
-                            part_side(rkeys[0]), reduce_join)
+                            part_side(rkeys[0]), reduce_join,
+                            (l_schema, r_schema, out_schema))
     return rd.from_arrow_refs(reduced)

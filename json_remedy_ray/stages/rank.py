@@ -24,7 +24,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
-from json_remedy_ray.state.partitioning import bucket_exchange, partition_by_bucket
+from json_remedy_ray.state.partitioning import bucket_exchange
 
 MAX_KEY = 1 << 22          # histogram bound; doc lengths sit far below
 
@@ -58,48 +58,40 @@ def global_rank(ds: rd.Dataset, key_col: str, id_col: str,
     bucket_asc = bucket_of_value[::-1].copy()
     lut_ref = ray.put((values_asc, bucket_asc))
 
-    def part(tbl: pa.Table) -> list[pa.Table]:
+    def part(tbl: pa.Table):
         va, ba = ray.get(lut_ref)
         k = tbl[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
         idx = np.searchsorted(va, k)
-        b = ba[np.clip(idx, 0, len(ba) - 1)]
-        return partition_by_bucket(tbl.append_column("__b", pa.array(b)),
-                                   "__b", n_buckets)
+        return ba[np.clip(idx, 0, len(ba) - 1)], tbl
 
-    def reduce_sort(*tables: pa.Table) -> pa.Table:
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return None
-        t = pa.concat_tables(live).combine_chunks()
+    def reduce_sort(t: pa.Table) -> pa.Table:
         k = t[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
         i = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.lexsort((i, -k))
-        t = t.take(pa.array(order)).drop_columns(["__b"])
+        t = t.take(pa.array(order))
         return t.append_column(
             rank_col, pa.array(np.arange(1, t.num_rows + 1), type=pa.int64()))
 
+    ds_schema = ds.schema()
+    schema = pa.schema(list(zip(ds_schema.names, ds_schema.types))
+                       + [(rank_col, pa.int64())])
     _, reduced = bucket_exchange(ds.to_arrow_refs(), n_buckets,
-                                 part, reduce_sort)
+                                 part, reduce_sort, schema)
 
     @ray.remote
     def _nrows(t):
-        return 0 if t is None else t.num_rows
+        return t.num_rows
 
     @ray.remote
     def _shift(t, offset):
-        if t is None or t.num_rows == 0:
-            return None
         r = (t[rank_col].to_numpy(zero_copy_only=False) + offset)
         return t.drop_columns([rank_col]).append_column(
             rank_col, pa.array(r, type=pa.int64()))
 
     ns = ray.get([_nrows.remote(r) for r in reduced])
     offsets = np.concatenate(([0], np.cumsum(ns)))[:-1]
-    shifted = [_shift.remote(r, int(o)) for r, o in zip(reduced, offsets)]
-    live = [s for s, n in zip(shifted, ns) if n]
+    live = [_shift.remote(r, int(o))
+            for r, o, n in zip(reduced, offsets, ns) if n]
     if not live:
-        schema = ds.schema()
-        return rd.from_arrow(
-            pa.schema(list(zip(schema.names, schema.types))
-                      + [(rank_col, pa.int64())]).empty_table())
+        return rd.from_arrow(schema.empty_table())
     return rd.from_arrow_refs(live)

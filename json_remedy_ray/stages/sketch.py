@@ -152,35 +152,29 @@ def count_distinct_exact_exchange(ds, text_col: str = "text",
     import ray
 
     from json_remedy_ray.functions.vhash import hash_strings
-    from json_remedy_ray.state.partitioning import (
-        bucket_exchange,
-        partition_by_bucket,
-    )
+    from json_remedy_ray.state.partitioning import bucket_exchange
 
     def block_unique(batch: pa.Table) -> pa.Table:
         col = batch[text_col]
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
         h = np.unique(hash_strings(col))          # uint64, sorted
-        return pa.table({
-            "bucket": pa.array((h % np.uint64(n_buckets)).view(np.int64)),
-            "h": pa.array(h.view(np.int64)),
-        })
+        return pa.table({"h": pa.array(h.view(np.int64))})
 
     partials = ds.map_batches(block_unique, batch_format="pyarrow",
                               batch_size=None)
 
-    def part(tbl: pa.Table) -> list[pa.Table]:
-        return partition_by_bucket(tbl, "bucket", n_buckets)
+    def part(tbl: pa.Table):
+        return tbl["h"].to_numpy(zero_copy_only=False), tbl
 
-    def reduce_count(*tables: pa.Table) -> pa.Table:
-        arrs = [t["h"].to_numpy() for t in tables if t.num_rows]
-        n = int(len(np.unique(np.concatenate(arrs)))) if arrs else 0
+    def reduce_count(t: pa.Table) -> pa.Table:
+        n = len(np.unique(t["h"].to_numpy(zero_copy_only=False)))
         return pa.table({"n": pa.array([n], type=pa.int64())})
 
-    _, reduced = bucket_exchange(partials.to_arrow_refs(), n_buckets,
-                                 part, reduce_count)
-    return int(sum(ray.get(r)["n"][0].as_py() for r in reduced))
+    _, reduced = bucket_exchange(
+        partials.to_arrow_refs(), n_buckets, part, reduce_count,
+        pa.schema([("n", pa.int64())]))
+    return int(sum(sum(ray.get(r)["n"].to_pylist()) for r in reduced))
 
 
 # --------------------------------------------------------------- bloom

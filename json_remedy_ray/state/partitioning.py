@@ -1,11 +1,34 @@
-"""Host extraction + salted hash partitioning (north_rule: hash-partitioned
-groupby on url-host with explicit salting for skewed domains).
+"""Keyed partitioning: the bucket exchange, its routers, and host salting.
 
-Design: ONE partitioning key reused across stages.  ``host_bucket`` is
-``hash(url_host) % num_buckets``; hot hosts (those above a frequency
-share) are salted into ``salt_n`` sub-buckets via a second hash of the
-full url, so no single reducer receives a whole hot domain.  The hot-host
-table is small (top-k), so it is broadcast (ray.put) rather than joined.
+The bucket exchange (``bucket_exchange``, ``join_exchange``) is the
+keyed shuffle the corpus-scale operators run on.  It owns four
+decisions so its callers write none of them:
+
+* routing — ``partition_fn(tbl)`` returns ``(key, table)``, or
+  ``(side_table, key, table)`` when the exchange has a side output.
+  ``key`` is a uint64 array, one value per row; the row goes to bucket
+  ``key % n_buckets``.  Hash callers pass the hash itself,
+  range-partition callers their bucket index.  No bucket column is
+  appended or shipped.
+* empty blocks — ``partition_fn`` never sees a zero-row block
+  (column-less empties included); such a block sends no rows to any
+  bucket, and the side slot carries ``side.empty_table()``.
+* the reduce input — zero-row slices are dropped and ``reduce_fn``
+  receives ONE concatenated, chunk-combined table (every column a
+  single chunk; ``t[c].chunk(0)`` is its array without a copy).
+* the empty result — a bucket that received no rows returns the
+  caller's declared ``schema.empty_table()``; ``reduce_fn`` is not
+  called.
+
+``default_n_buckets`` is the shared bucket count for operators that
+size from the cluster.  The routers (``hash_key``, ``doc_id_bucket``)
+are shared so that two sides of one co-location hash identically.
+
+Host salting: ``host_bucket`` is ``hash(url_host) % num_buckets``;
+hot hosts (those above a frequency share) are salted into ``salt_n``
+sub-buckets via a second hash of the full url, so no single reducer
+receives a whole hot domain.  The hot-host table is small (top-k), so
+it is broadcast (ray.put) rather than joined.
 """
 
 from __future__ import annotations
@@ -168,17 +191,17 @@ def ts_int64_col(tbl: pa.Table, col: str = "ts") -> np.ndarray:
     return c.to_numpy(zero_copy_only=False).view("int64")
 
 
-def hash_bucket_of(key: np.ndarray, salt: np.ndarray | None,
-                   n_buckets: int) -> np.ndarray:
-    """Bucket index from an int64 key (+ optional int64 salt) — the one
-    hash used by every (key, salt) group-local exchange (interarrival,
-    running total, sessions), so the operators cannot drift."""
+def hash_key(key: np.ndarray, salt: np.ndarray | None) -> np.ndarray:
+    """uint64 exchange key from an int64 key (+ optional int64 salt) —
+    the one hash used by every (key, salt) group-local exchange (as-of
+    and range joins, interarrival, running total, sessions), so the
+    operators cannot drift."""
     from json_remedy_ray.functions.vhash import _mix64
 
     h = _mix64(key.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
     if salt is not None:
         h = _mix64(h + salt.view(np.uint64))
-    return (h % np.uint64(n_buckets)).view(np.int64)
+    return h
 
 
 def doc_id_bucket(ids: np.ndarray, n_buckets: int) -> np.ndarray:
@@ -230,25 +253,73 @@ def tree_reduce(refs, merge_fn, fanout: int = 64):
 
 # ------------------------------------------------------- bucket exchange
 
-def _remote_partitioner(partition_fn, n_out: int):
-    """One remote partition-task wrapper shared by both exchanges:
-    ``num_returns=n_out`` slices per input block, with the
-    length-contract assert in a single place."""
+def default_n_buckets() -> int:
+    """Exchange bucket count for the queries that size from the cluster:
+    half its CPUs, clamped to [4, 32]."""
     import ray
 
+    return max(4, min(32, int(ray.cluster_resources().get("CPU", 8)) // 2))
+
+
+def partition_by_bucket(tbl: pa.Table, key: np.ndarray,
+                        n_buckets: int) -> list[pa.Table]:
+    """Split one table into ``n_buckets`` slices, row i to slice
+    ``key[i] % n_buckets`` (``key``: uint64 per row), with ONE stable
+    argsort + zero-copy slicing (no per-bucket filter passes)."""
+    if n_buckets == 1:
+        return [tbl]
+    bucket = (np.asarray(key).astype(np.uint64, copy=False)
+              % np.uint64(n_buckets)).astype(np.int64)
+    order = np.argsort(bucket, kind="stable")
+    tbl = tbl.take(pa.array(order))
+    counts = np.bincount(bucket, minlength=n_buckets)
+    offs = np.concatenate(([0], np.cumsum(counts)))
+    return [tbl.slice(offs[b], counts[b]) for b in range(n_buckets)]
+
+
+_NO_ROWS = pa.table({})
+
+
+def _partition_task(partition_fn, n_buckets: int, side: pa.Schema | None):
+    """The remote partition task shared by both exchanges: one input
+    block in, ``n_buckets`` slices out (after the side output, if any).
+    A zero-row block never reaches ``partition_fn``."""
+    import ray
+
+    n_out = n_buckets + (side is not None)
+
     @ray.remote(num_returns=n_out)
-    def _part(tbl):
-        out = partition_fn(tbl)
-        assert len(out) == n_out
+    def _part(tbl: pa.Table):
+        if tbl.num_rows == 0:
+            out = [_NO_ROWS] * n_buckets
+            if side is not None:
+                out = [side.empty_table()] + out
+        else:
+            res = partition_fn(tbl)
+            out = partition_by_bucket(res[-1], res[-2], n_buckets)
+            if side is not None:
+                out = [res[0]] + out
         return tuple(out) if n_out > 1 else out[0]
 
     return _part
 
 
+def _concat_rows(tables) -> pa.Table | None:
+    """One chunk-combined table of the slices that hold rows, or None."""
+    live = [t for t in tables if t.num_rows]
+    return pa.concat_tables(live).combine_chunks() if live else None
+
+
+def _fanout(part, refs, n_out: int) -> list:
+    """Launch one partition task per ref; each result indexes by slot."""
+    outs = [part.remote(r) for r in refs]
+    return [[o] for o in outs] if n_out == 1 else outs
+
+
 def bucket_exchange(refs, n_buckets: int, partition_fn, reduce_fn,
-                    side: bool = False):
+                    schema: pa.Schema, side: pa.Schema | None = None):
     """Two-stage hash exchange over materialized Arrow block refs, built
-    from raw Ray tasks.
+    from raw Ray tasks (the contract is in the module docstring).
 
     Rationale (the one place the Dataset API genuinely can't express the
     semantics at acceptable cost): this Ray build's ``groupby`` pays a
@@ -264,11 +335,11 @@ def bucket_exchange(refs, n_buckets: int, partition_fn, reduce_fn,
     on a multi-node cluster the partition outputs are fetched
     node-to-node exactly like any shuffle.
 
-    partition_fn(tbl) -> list of ``n_buckets`` tables (bucket i rows at
-    slot i); with ``side=True`` it returns ``n_buckets + 1`` tables and
-    slot 0 is a side output returned unreduced (e.g. rows already fully
-    resolved block-locally).
-    reduce_fn(*tables) -> one table for the bucket.
+    partition_fn(tbl) -> (key, table), or (side_table, key, table) when
+    ``side`` is the side output's schema (e.g. rows already fully
+    resolved block-locally, returned unreduced).
+    reduce_fn(table) -> one table for the bucket; a bucket without rows
+    returns ``schema.empty_table()`` instead.
 
     Fault tolerance: both task kinds are deterministic pure functions
     of their input refs, so Ray's default task retries re-execute a
@@ -281,18 +352,17 @@ def bucket_exchange(refs, n_buckets: int, partition_fn, reduce_fn,
     """
     import ray
 
-    n_out = n_buckets + (1 if side else 0)
-    _part = _remote_partitioner(partition_fn, n_out)
+    n_out = n_buckets + (side is not None)
+    outs = _fanout(_partition_task(partition_fn, n_buckets, side), refs,
+                   n_out)
 
     @ray.remote
     def _reduce(*tables):
-        return reduce_fn(*tables)
+        t = _concat_rows(tables)
+        return schema.empty_table() if t is None else reduce_fn(t)
 
-    outs = [_part.remote(r) for r in refs]
-    if n_out == 1:
-        outs = [[o] for o in outs]
-    side_refs = [o[0] for o in outs] if side else []
-    start = 1 if side else 0
+    start = n_out - n_buckets
+    side_refs = [o[0] for o in outs] if start else []
     reduced = [
         _reduce.remote(*[o[start + b] for o in outs])
         for b in range(n_buckets)
@@ -326,49 +396,43 @@ def merge_sorted(refs, cols: list[str], max_rows: int):
     return _merge.remote(*refs)
 
 
-def partition_by_bucket(tbl: pa.Table, bucket_col: str,
-                        n_buckets: int) -> list[pa.Table]:
-    """Split one table into ``n_buckets`` slices by an int bucket column
-    with ONE stable argsort + zero-copy slicing (no per-bucket filter
-    passes)."""
-    bucket = tbl[bucket_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    order = np.argsort(bucket, kind="stable")
-    tbl = tbl.take(pa.array(order))
-    counts = np.bincount(bucket, minlength=n_buckets)
-    offs = np.concatenate(([0], np.cumsum(counts)))
-    return [tbl.slice(offs[b], counts[b]) for b in range(n_buckets)]
-
-
 def join_exchange(left_refs, right_refs, n_buckets: int,
-                  part_left_fn, part_right_fn, reduce_fn):
+                  part_left_fn, part_right_fn, reduce_fn,
+                  schemas: tuple[pa.Schema, pa.Schema, pa.Schema]):
     """Two-SIDED bucket exchange: both ref lists are hash-partitioned on
     the same key space, then one reduce task per bucket receives the
     bucket's left AND right slices — the classic partitioned hash join
     (the large-x-large complement of the repo's broadcast joins, which
     require one side to fit in the object store as a single ray.put).
 
-    ``reduce_fn(left_tables, right_tables) -> pa.Table`` runs once per
-    bucket.  Same scale argument as ``bucket_exchange``: everything
-    stays in the (spill-backed) object store, and on a real cluster the
-    slices move node-to-node like any shuffle.  The co-partitioning
-    contract is the caller's: both partition fns must route equal keys
-    to equal bucket slots."""
+    Same contract as ``bucket_exchange`` per side: each partition fn
+    returns (key, table).  ``schemas`` is (left, right, out):
+    ``reduce_fn(left, right) -> pa.Table`` runs once per bucket that
+    holds rows, with a side that has none handed in as its schema's
+    empty table; a bucket empty on both sides returns the out schema's
+    empty table.  Same scale argument as ``bucket_exchange``:
+    everything stays in the (spill-backed) object store, and on a real
+    cluster the slices move node-to-node like any shuffle.  The
+    co-partitioning contract is the caller's: both partition fns must
+    give equal keys equal ``key`` values."""
     import ray
 
-    _pl = _remote_partitioner(part_left_fn, n_buckets)
-    _pr = _remote_partitioner(part_right_fn, n_buckets)
-
-    louts = [_pl.remote(r) for r in left_refs]
-    routs = [_pr.remote(r) for r in right_refs]
-    if n_buckets == 1:
-        louts, routs = [[o] for o in louts], [[o] for o in routs]
+    l_schema, r_schema, schema = schemas
+    louts = _fanout(_partition_task(part_left_fn, n_buckets, None),
+                    left_refs, n_buckets)
+    routs = _fanout(_partition_task(part_right_fn, n_buckets, None),
+                    right_refs, n_buckets)
 
     @ray.remote
-    def _red(nl, *tables):
-        return reduce_fn(tables[:nl], tables[nl:])
+    def _reduce(nl, *tables):
+        lt, rt = _concat_rows(tables[:nl]), _concat_rows(tables[nl:])
+        if lt is None and rt is None:
+            return schema.empty_table()
+        return reduce_fn(l_schema.empty_table() if lt is None else lt,
+                         r_schema.empty_table() if rt is None else rt)
 
     return [
-        _red.remote(len(louts), *[o[b] for o in louts],
-                    *[o[b] for o in routs])
+        _reduce.remote(len(louts), *[o[b] for o in louts],
+                       *[o[b] for o in routs])
         for b in range(n_buckets)
     ]

@@ -437,10 +437,7 @@ def test_bucket_exchange_roundtrip(ray_session):
     import pyarrow as pa
     import ray as _ray
 
-    from json_remedy_ray.state.partitioning import (
-        bucket_exchange,
-        partition_by_bucket,
-    )
+    from json_remedy_ray.state.partitioning import bucket_exchange
 
     nb = 4
     rng = np.random.default_rng(0)
@@ -451,18 +448,21 @@ def test_bucket_exchange_roundtrip(ray_session):
                                 "v": pa.array(v)}))
     refs = [_ray.put(b) for b in blocks]
 
+    side_schema = pa.schema([("n", pa.int64())])
+
     def part(tbl):
         side = pa.table({"n": pa.array([tbl.num_rows], type=pa.int64())})
-        return [side] + partition_by_bucket(tbl, "bucket", nb)
+        return side, tbl["v"].to_numpy().astype(np.uint64), tbl
 
-    def reduce_sum(*tables):
-        tot = sum(t["v"].to_numpy().sum() for t in tables if t.num_rows)
-        bks = {b for t in tables if t.num_rows
-               for b in np.unique(t["bucket"].to_numpy())}
-        assert len(bks) <= 1  # a reduce task sees one bucket only
-        return pa.table({"s": pa.array([int(tot)], type=pa.int64())})
+    def reduce_sum(t):
+        # a reduce task sees one bucket only
+        assert len(np.unique(t["bucket"].to_numpy())) == 1
+        return pa.table({"s": pa.array([int(t["v"].to_numpy().sum())],
+                                       type=pa.int64())})
 
-    side, red = bucket_exchange(refs, nb, part, reduce_sum, side=True)
+    side, red = bucket_exchange(refs, nb, part, reduce_sum,
+                                pa.schema([("s", pa.int64())]),
+                                side=side_schema)
     assert sum(_ray.get(r)["n"][0].as_py() for r in side) == 600
     total = sum(_ray.get(r)["s"][0].as_py() for r in red)
     assert total == sum(int(b["v"].to_numpy().sum()) for b in blocks)

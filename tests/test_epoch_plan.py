@@ -1,7 +1,11 @@
 """Epoch-plan edge semantics: a source whose documents carry zero
 tokens (empty/whitespace text) gets ZERO epochs and zero copies on both
 engine and oracle — never a divide-by-zero — and the materialized
-multiset matches the plan's row arithmetic exactly."""
+multiset matches the plan's row arithmetic exactly.  A NULL source is
+one group (SQL GROUP BY) in the plan and in dedup_rate_by_source; the
+refinement loop terminates on hash ties; int64 overflow fails loudly."""
+
+import signal
 
 import duckdb
 import numpy as np
@@ -76,3 +80,101 @@ def test_epoch_expand_matches_oracle_with_empty_source(ray_session,
     forced = (epoch_expand_documents(plan_dir, pull_cap=4, nb=256)
               .to_pandas()[cols].sort_values(cols).reset_index(drop=True))
     pd.testing.assert_frame_equal(g, forced)
+
+
+def _oracle(sf_dir: str, name: str) -> pd.DataFrame:
+    from json_remedy_ray.functions.queries import ORACLES
+
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW documents AS SELECT * FROM "
+                f"read_parquet('{sf_dir}/documents.parquet')")
+    return con.execute(ORACLES[name]).df()
+
+
+def _same(got: pd.DataFrame, want: pd.DataFrame) -> None:
+    cols = sorted(want.columns)
+    g = got[cols].fillna({"source": "<null>"})
+    w = want[cols].fillna({"source": "<null>"})
+    g = g.sort_values(cols).reset_index(drop=True)
+    w = w.sort_values(cols).reset_index(drop=True)
+    pd.testing.assert_frame_equal(g, w.astype(g.dtypes.to_dict()))
+
+
+@pytest.fixture()
+def null_source_dir(tmp_path):
+    """documents with NULL sources (duplicate texts among them), an
+    empty-string source and a NULL text."""
+    rows = []
+    for i in range(30):
+        src = [None, "web", "", "news"][i % 4]
+        text = None if i == 7 else f"tok{i % 5} tok{i % 3} shared words"
+        rows.append({"doc_id": i, "source": src, "text": text})
+    t = pa.Table.from_pandas(pd.DataFrame(rows), preserve_index=False)
+    pq.write_table(t, tmp_path / "documents.parquet")
+    return str(tmp_path)
+
+
+def test_dedup_rate_by_source_null_source_matches_oracle(ray_session,
+                                                        null_source_dir):
+    from json_remedy_ray.functions.queries import dedup_rate_by_source
+
+    got = dedup_rate_by_source(null_source_dir, n_buckets=3)
+    assert got["source"].isna().sum() == 1
+    _same(got, _oracle(null_source_dir, "dedup_rate_by_source"))
+
+
+def test_epoch_plan_and_expand_null_source_match_oracle(ray_session,
+                                                        null_source_dir):
+    from json_remedy_ray.functions.queries import (
+        epoch_expand_documents,
+        source_epoch_plan,
+    )
+
+    plan = source_epoch_plan(null_source_dir)
+    assert plan["source"].isna().sum() == 1
+    _same(plan, _oracle(null_source_dir, "source_epoch_plan"))
+    got = epoch_expand_documents(null_source_dir, pull_cap=2, nb=16)
+    _same(got.to_pandas(), _oracle(null_source_dir,
+                                   "epoch_expand_documents"))
+
+
+def test_epoch_refinement_terminates_on_hash_ties(ray_session, tmp_path):
+    """doc_ids i and i + 2**32 share one 32-bit hash: with pull_cap=1
+    the refinement narrows source "a" to a single hash value that still
+    holds 2 rows; it must pull there instead of looping forever."""
+    from json_remedy_ray.functions.queries import epoch_expand_documents
+
+    ids = [0, 1 << 32, 1, (1 << 32) + 1, 10, 11, 12]
+    src = ["a", "a", "a", "a", "b", "b", "b"]
+    pq.write_table(pa.table({"doc_id": pa.array(ids, pa.int64()),
+                             "source": src, "text": ["w"] * 7}),
+                   tmp_path / "documents.parquet")
+
+    def _timeout(signum, frame):
+        raise TimeoutError("epoch refinement did not terminate")
+
+    old = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(180)
+    try:
+        got = epoch_expand_documents(str(tmp_path), pull_cap=1).to_pandas()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    # budget 3 * 7 tokens over 2 sources: "a" gets 2.5 epochs, so its 2
+    # docs first in (hash, doc_id) order get a third copy; "b" gets 3
+    copies = got.groupby("doc_id").size().to_dict()
+    assert copies == {0: 3, 1 << 32: 3, 1: 2, (1 << 32) + 1: 2,
+                      10: 3, 11: 3, 12: 3}
+
+
+def test_source_epoch_plan_asserts_on_int64_overflow(monkeypatch):
+    """n_partial_docs multiplies epochs_micro % 1e6 by n_docs in int64:
+    a source past ~4.6e12 docs must fail loudly, not wrap."""
+    import json_remedy_ray.functions.queries as q
+
+    monkeypatch.setattr(q, "_read", lambda *a, **k: None)
+    monkeypatch.setattr(q, "_partial_agg", lambda *a, **k: pd.DataFrame({
+        "source": ["big", "small"], "sum_tokens": [10, 10],
+        "n_docs": [5 * 10 ** 12, 1]}))
+    with pytest.raises(AssertionError):
+        q.source_epoch_plan("unused")

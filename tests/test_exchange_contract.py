@@ -1,0 +1,256 @@
+"""The bucket exchange's contract (state/partitioning): partition_fn
+returns (key, table) and the exchange routes key % n_buckets; zero-row
+blocks never reach partition_fn; reduce_fn gets one chunk-combined
+table; a bucket without rows returns the declared schema; and every
+operator built on it gives the same answer at any bucket count."""
+
+from __future__ import annotations
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+import pytest
+
+_SIDE = pa.schema([("n", pa.int64()), ("tag", pa.string())])
+_OUT = pa.schema([("s", pa.int64()), ("rows", pa.int64())])
+
+
+def _fns(with_side: bool = True):
+    """(partition_fn, reduce_fn) that check the contract.  Built inside a
+    function so Ray ships them by value to its workers."""
+    def part(tbl: pa.Table):
+        assert tbl.num_rows > 0, "partition_fn called on a zero-row block"
+        side = pa.table({"n": pa.array([tbl.num_rows], type=pa.int64()),
+                         "tag": pa.array(["p"])})
+        key = tbl["x"].to_numpy().astype(np.uint64)
+        return (side, key, tbl) if with_side else (key, tbl)
+
+    def red(t: pa.Table) -> pa.Table:
+        assert t.num_rows > 0
+        assert t.column_names == ["x"], t.column_names  # no routing column
+        assert all(c.num_chunks == 1 for c in t.columns)
+        return pa.table({"s": pa.array([int(t["x"].to_numpy().sum())]),
+                         "rows": pa.array([t.num_rows])})
+
+    return part, red
+
+
+def _blocks():
+    return [pa.table({"x": pa.array([], pa.int64())}),     # zero-row
+            pa.table({}),                                  # column-less
+            pa.table({"x": pa.array(np.arange(20), pa.int64())}),
+            pa.table({"x": pa.array(np.arange(20, 35), pa.int64())})]
+
+
+def test_empty_blocks_skip_partition_and_carry_side_schema(ray_session):
+    import ray
+
+    from json_remedy_ray.state.partitioning import bucket_exchange
+
+    refs = [ray.put(b) for b in _blocks()]
+    side, red = bucket_exchange(refs, 4, *_fns(), _OUT, side=_SIDE)
+    sides = ray.get(side)
+    for s in sides[:2]:
+        assert s.num_rows == 0 and s.schema.equals(_SIDE)
+    assert [s["n"][0].as_py() for s in sides[2:]] == [20, 15]
+    out = pa.concat_tables(ray.get(red))
+    assert sum(out["s"].to_pylist()) == sum(range(35))
+    assert sum(out["rows"].to_pylist()) == 35     # each row reduced once
+
+
+def test_all_empty_bucket_returns_declared_schema(ray_session):
+    import ray
+
+    from json_remedy_ray.state.partitioning import bucket_exchange
+
+    def to_bucket_1(tbl):
+        return np.full(tbl.num_rows, 1, dtype=np.uint64), tbl
+
+    refs = [ray.put(b) for b in _blocks()]
+    _, red = bucket_exchange(refs, 3, to_bucket_1, _fns()[1], _OUT)
+    outs = ray.get(red)
+    # the reduce_fn always returns one row: zero rows means it never ran
+    for b in (0, 2):
+        assert outs[b].num_rows == 0 and outs[b].schema.equals(_OUT)
+    assert outs[1].to_pylist() == [{"s": sum(range(35)), "rows": 35}]
+
+
+@pytest.mark.parametrize("with_side", [False, True])
+def test_single_bucket(ray_session, with_side):
+    import ray
+
+    from json_remedy_ray.state.partitioning import bucket_exchange
+
+    refs = [ray.put(b) for b in _blocks()]
+    side, red = bucket_exchange(refs, 1, *_fns(with_side), _OUT,
+                                side=_SIDE if with_side else None)
+    assert len(red) == 1
+    assert ray.get(red[0]).to_pylist() == [{"s": sum(range(35)),
+                                            "rows": 35}]
+    assert len(side) == (4 if with_side else 0)
+
+
+def test_join_exchange_empty_sides(ray_session):
+    import ray
+
+    from json_remedy_ray.state.partitioning import join_exchange
+
+    ls = pa.schema([("k", pa.int64()), ("lv", pa.int64())])
+    rs = pa.schema([("k", pa.int64()), ("rv", pa.int64())])
+    out = pa.schema([("k", pa.int64()), ("lv", pa.int64()),
+                     ("rv", pa.int64())])
+    left = pa.table({"k": pa.array([0, 0, 2], pa.int64()),
+                     "lv": pa.array([1, 2, 3], pa.int64())})
+    right = pa.table({"k": pa.array([2, 4], pa.int64()),
+                      "rv": pa.array([7, 8], pa.int64())})
+
+    def part(t):
+        return t["k"].to_numpy().astype(np.uint64), t
+
+    def red(lt, rt):
+        assert lt.schema.equals(ls) and rt.schema.equals(rs)
+        return lt.join(rt, keys="k", join_type="full outer").select(
+            out.names)
+
+    refs = join_exchange([ray.put(left), ray.put(ls.empty_table())],
+                         [ray.put(right)], 5, part, part, red,
+                         (ls, rs, out))
+    got = ray.get(refs)
+    assert [t.num_rows for t in got] == [2, 0, 1, 0, 1]
+    assert got[1].schema.equals(out)
+    rows = sorted(pa.concat_tables(got).to_pylist(),
+                  key=lambda r: (r["k"], r["lv"] or 0))
+    assert rows == [{"k": 0, "lv": 1, "rv": None},
+                    {"k": 0, "lv": 2, "rv": None},
+                    {"k": 2, "lv": 3, "rv": 7},
+                    {"k": 4, "lv": None, "rv": 8}]
+
+
+# ------------------------------------------------ bucket-count invariance
+
+def _corpus() -> pa.Table:
+    rng = np.random.default_rng(5)
+    words = [f"w{i}" for i in range(30)]
+    boiler = ["shared footer line", "home | about | contact"]
+    docs = []
+    for i in range(48):
+        lines = [" ".join(rng.choice(words, 9)) for _ in range(3)]
+        lines += boiler[: i % 3]
+        if i % 5 == 0 and i:
+            lines = docs[i - 5].split("\n")          # exact duplicate
+        docs.append("\n".join(lines))
+    return pa.table({"doc_id": pa.array(np.arange(48), pa.int64()),
+                     "text": pa.array(docs),
+                     "source": pa.array([f"s{i % 3}" for i in range(48)])})
+
+
+def _ds(tbl: pa.Table, blocks: int = 4):
+    import ray.data as rd
+
+    return rd.from_arrow(tbl).repartition(blocks)
+
+
+def _sorted(df: pd.DataFrame) -> pd.DataFrame:
+    cols = sorted(df.columns)
+    return df[cols].sort_values(cols).reset_index(drop=True)
+
+
+def _line_dedup(nb):
+    from json_remedy_ray.stages.dedup import line_dedup
+
+    return line_dedup(_ds(_corpus()), n_buckets=nb).to_pandas()
+
+
+def _crossdoc_span_dedup(nb):
+    from json_remedy_ray.stages.dedup import crossdoc_span_dedup
+
+    return crossdoc_span_dedup(_ds(_corpus()), n=4, n_buckets=nb).to_pandas()
+
+
+def _crossdoc_ngram_stats(nb):
+    from json_remedy_ray.stages.dedup import crossdoc_ngram_stats
+
+    return crossdoc_ngram_stats(_ds(_corpus()), n=4,
+                                n_buckets=nb).to_pandas()
+
+
+def _minhash_dedup_pairs(nb):
+    # mode="all": the default spanning mode emits a spanning set whose
+    # star rows can repeat once per bucket that holds a band of the
+    # collapsed signature; its components, not its rows, are the answer
+    from json_remedy_ray.stages.dedup import minhash_dedup_pairs
+
+    return minhash_dedup_pairs(_ds(_corpus().select(["doc_id", "text"])),
+                               threshold=0.5, n_buckets=nb,
+                               mode="all").to_pandas()
+
+
+def _count_distinct_exact_exchange(nb):
+    from json_remedy_ray.stages.sketch import count_distinct_exact_exchange
+
+    return pd.DataFrame({"n": [count_distinct_exact_exchange(
+        _ds(_corpus()), "text", n_buckets=nb)]})
+
+
+def _global_rank(nb):
+    from json_remedy_ray.stages.rank import global_rank
+
+    t = _corpus()
+    t = pa.table({"doc_id": t["doc_id"],
+                  "n_chars": pc.utf8_length(t["text"]).cast(
+                      pa.int64())})
+    return global_rank(_ds(t), "n_chars", "doc_id",
+                       n_buckets=nb).to_pandas()
+
+
+def _hash_join(nb):
+    from json_remedy_ray.stages.join import hash_join
+
+    t = _corpus()
+    left = t.select(["doc_id", "source"])
+    right = pa.table({"src": pa.array(["s0", "s1", "s9"]),
+                      "w": pa.array([1, 2, 3], pa.int64())})
+    return hash_join(_ds(left), _ds(right, 2), "source", "src",
+                     how="full outer", n_buckets=nb).to_pandas()
+
+
+def _pagerank_refs(nb):
+    import ray
+
+    from json_remedy_ray.stages.graph import pagerank_refs
+
+    rng = np.random.default_rng(9)
+    hosts = np.array([f"h{i}.com" for i in range(12)], dtype=object)
+    blocks = [pa.table({"src": pa.array(hosts[rng.integers(0, 12, 30)]),
+                        "dst": pa.array(hosts[rng.integers(0, 12, 30)]),
+                        "w": pa.array(np.ones(30, np.int64))})
+              for _ in range(3)]
+    blocks.append(blocks[0].slice(0, 0))
+    refs = pagerank_refs([ray.put(b) for b in blocks], n_buckets=nb,
+                         iters=3)
+    return pa.concat_tables(ray.get(refs)).to_pandas()
+
+
+_OPERATORS = [_line_dedup, _crossdoc_span_dedup, _crossdoc_ngram_stats,
+              _minhash_dedup_pairs, _count_distinct_exact_exchange,
+              _global_rank, _hash_join, _pagerank_refs]
+
+
+@pytest.mark.parametrize("op", _OPERATORS, ids=lambda f: f.__name__[1:])
+def test_bucket_count_invariance(ray_session, op):
+    one, five = op(1), op(5)
+    assert len(one) > 0
+    pd.testing.assert_frame_equal(_sorted(one), _sorted(five))
+
+
+def test_bucket_count_invariance_dedup_rate_by_source(ray_session,
+                                                      tmp_path):
+    from json_remedy_ray.functions.queries import dedup_rate_by_source
+
+    pq.write_table(_corpus(), tmp_path / "documents.parquet")
+    one = dedup_rate_by_source(str(tmp_path), n_buckets=1)
+    five = dedup_rate_by_source(str(tmp_path), n_buckets=5)
+    assert (one["n_docs"] > one["n_distinct"]).any()
+    pd.testing.assert_frame_equal(one, five)

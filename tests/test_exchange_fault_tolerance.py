@@ -12,9 +12,10 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
-from json_remedy_ray.state.partitioning import bucket_exchange, partition_by_bucket
+from json_remedy_ray.state.partitioning import bucket_exchange
 
 N_BUCKETS = 4
+_OUT = pa.schema([("s", pa.int64()), ("n", pa.int64())])
 
 
 def _make_part(flag_path: str | None):
@@ -26,15 +27,12 @@ def _make_part(flag_path: str | None):
                 os._exit(1)          # first partition task dies hard
             except FileExistsError:
                 pass
-        x = tbl["x"].to_numpy(zero_copy_only=False)
-        b = pa.array((x % N_BUCKETS).astype(np.int64))
-        return partition_by_bucket(tbl.append_column("bucket", b),
-                                   "bucket", N_BUCKETS)
+        return tbl["x"].to_numpy(zero_copy_only=False).astype(np.uint64), tbl
     return part
 
 
 def _make_reduce(flag_path: str | None):
-    def red(*tables: pa.Table) -> pa.Table:
+    def red(t: pa.Table) -> pa.Table:
         if flag_path is not None:
             try:
                 fd = os.open(flag_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -42,12 +40,9 @@ def _make_reduce(flag_path: str | None):
                 os._exit(1)          # first reduce task dies hard
             except FileExistsError:
                 pass
-        live = [t for t in tables if t.num_rows]
-        s = sum(int(t["x"].to_numpy(zero_copy_only=False).sum())
-                for t in live)
-        n = sum(t.num_rows for t in live)
+        s = int(t["x"].to_numpy(zero_copy_only=False).sum())
         return pa.table({"s": pa.array([s], type=pa.int64()),
-                         "n": pa.array([n], type=pa.int64())})
+                         "n": pa.array([t.num_rows], type=pa.int64())})
     return red
 
 
@@ -57,7 +52,7 @@ def _run(flag_part, flag_red):
     ds = ds.repartition(8)
     _, reduced = bucket_exchange(ds.to_arrow_refs(), N_BUCKETS,
                                  _make_part(flag_part),
-                                 _make_reduce(flag_red))
+                                 _make_reduce(flag_red), _OUT)
     out = rd.from_arrow_refs(reduced).to_pandas()
     return int(out["s"].sum()), int(out["n"].sum())
 
