@@ -165,65 +165,41 @@ def run_bench() -> dict:
             _consume(QUERIES[name](SF_DIR))
             timings[name] = round(time.perf_counter() - t0, 3)
 
-    # corpus-scale all-to-all: exact dedup of the replicated corpus by
-    # content hash (hash in map_batches -> distributed groupby).  This is
-    # the shuffle-throughput benchmark; the replicate-x corpus guarantees
-    # real duplicate groups.
+    # corpus-scale distinct count of the replicated corpus (the
+    # replicate-x corpus guarantees real duplicate groups).  Reference:
+    # EXACT and UNBOUNDED — per-block unique 8-byte keys through the
+    # raw-task bucket exchange (no groupby floor, no driver-RAM bound);
+    # the 100-TB default when exactness is required
     import numpy as np
     import pyarrow as pa
 
     from json_remedy_ray.functions.vhash import hash_strings
-
-    def add_hash(batch: pa.Table) -> pa.Table:
-        # vectorized content hash straight off the Arrow buffer, then a
-        # LOCAL unique (combiner) so the shuffle moves one 8-byte row per
-        # distinct doc per block, not one per input row
-        col = batch["text"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        h = np.unique(hash_strings(col)).view(np.int64)
-        return pa.table({"text_hash": pa.array(h, type=pa.int64())})
-
-    t0 = time.perf_counter()
-    hashed = rd.read_parquet(corpus_dir, columns=["text"]).map_batches(
-        add_hash, batch_format="pyarrow", batch_size=None)
-    # reduce-partition count tracks input block count: right-size it or the
-    # groupby explodes into hundreds of near-empty reduce tasks
-    n_unique = hashed.repartition(max(1, NUM_CPUS // 2)).groupby("text_hash").count().count()
-    timings["exact_dedup_corpus"] = round(time.perf_counter() - t0, 3)
-
-    # the SCALE path for the same question: HyperLogLog sketch — one 4 KB
-    # register blob per block merged on the driver, NO shuffle (the exact
-    # groupby above pays this Ray build's ~8 s all-to-all floor however
-    # small the data; the sketch is bounded at any corpus size)
     from json_remedy_ray.stages.sketch import (
         count_distinct_exact_bounded,
+        count_distinct_exact_exchange,
         count_distinct_hll,
     )
 
+    t0 = time.perf_counter()
+    n_unique = count_distinct_exact_exchange(
+        rd.read_parquet(corpus_dir, columns=["text"]))
+    timings["exact_dedup_corpus_exchange"] = round(time.perf_counter() - t0, 3)
+
+    # the SCALE path for the same question: HyperLogLog sketch — one 4 KB
+    # register blob per block merged on the driver, NO shuffle, bounded
+    # at any corpus size
     t0 = time.perf_counter()
     est = count_distinct_hll(rd.read_parquet(corpus_dir, columns=["text"]))
     timings["distinct_docs_hll"] = round(time.perf_counter() - t0, 3)
     assert abs(est - n_unique) / max(1, n_unique) < 0.05, (est, n_unique)
 
-    # third option between those two: EXACT count, NO shuffle, driver
-    # merge of per-block unique 8-byte keys (valid while distinct x 8 B
-    # fits the driver — see stages/sketch.py for the crossover)
+    # EXACT, NO shuffle: driver merge of per-block unique 8-byte keys
+    # (valid while distinct x 8 B fits the driver — see stages/sketch.py
+    # for the crossover)
     t0 = time.perf_counter()
     n_exact = count_distinct_exact_bounded(rd.read_parquet(corpus_dir, columns=["text"]))
     timings["exact_dedup_corpus_driver"] = round(time.perf_counter() - t0, 3)
     assert n_exact == n_unique, (n_exact, n_unique)
-
-    # fourth path: EXACT and UNBOUNDED — per-block unique keys through
-    # the raw-task bucket exchange (no groupby floor, no driver-RAM
-    # bound); the 100-TB default when exactness is required
-    from json_remedy_ray.stages.sketch import count_distinct_exact_exchange
-
-    t0 = time.perf_counter()
-    n_exch = count_distinct_exact_exchange(
-        rd.read_parquet(corpus_dir, columns=["text"]))
-    timings["exact_dedup_corpus_exchange"] = round(time.perf_counter() - t0, 3)
-    assert n_exch == n_unique, (n_exch, n_unique)
 
     # corpus-wide MinHash LSH near-dup pairs: signatures fused into the
     # bucket-exchange partition tasks, identical signatures collapsed

@@ -102,8 +102,8 @@ def _partial_agg(ds: rd.Dataset, partial_fn, keys: list[str], aggs: dict[str, st
     Measured on this Ray build, ``ds.groupby().aggregate()`` costs ~10 s
     of fixed shuffle overhead even on a few hundred partial rows, so for
     low-cardinality aggregates the driver merge is the scalable shape.
-    High-cardinality keys (dedup) keep the distributed groupby (see
-    exact_dedup_text).
+    High-cardinality keys (dedup) go through the bucket exchange
+    (state/partitioning.bucket_exchange, see exact_dedup_text).
 
     TREE MERGE (round-3 verdict #7): when the block count exceeds
     ``tree_fanout``, intermediate reduce levels merge ``tree_fanout``
@@ -1294,12 +1294,16 @@ def filter_pipeline_documents(sf_dir: str, broadcast_max: int = 1 << 25):
     NOT assumed small.  Up to ``broadcast_max`` drop ids (8 bytes each;
     default 32M = 256 MB) one task merges them into a sorted array
     that broadcasts to the decide stage, a plain map_batches; past
-    that the drop ids route back through a doc_id-bucket cogroup (the
-    line_dedup fallback pattern) so the keep/drop decision never
-    materializes on the driver."""
+    that documents and drop ids meet in one ``join_exchange`` keyed by
+    hash_key(doc_id) and each bucket runs the same decision, so the
+    drop set never materializes on the driver."""
     from json_remedy_ray.functions.vhash import hash_strings
     from json_remedy_ray.stages.textstats import gopher_ngram_repetition_batch
-    from json_remedy_ray.state.partitioning import merge_sorted
+    from json_remedy_ray.state.partitioning import (
+        hash_key,
+        join_exchange,
+        merge_sorted,
+    )
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     n_buckets = default_n_buckets()
@@ -1423,52 +1427,21 @@ def filter_pipeline_documents(sf_dir: str, broadcast_max: int = 1 << 25):
         return planted.map_batches(decide, batch_format="pyarrow",
                                    batch_size=None)
 
-    # ---- pathological drop set: doc_id-bucket cogroup fallback -------
-    # (the line_dedup posture, stages/dedup.py): docs and drop ids
-    # co-locate by the SHARED doc_id_bucket router and the decision
-    # happens inside the group — nothing but ≤n_buckets group outputs
-    # ever leaves tasks
-    from json_remedy_ray.state.partitioning import doc_id_bucket
+    # ---- pathological drop set: doc_id-keyed cogroup ----------------
+    # docs and drop ids co-locate through one join_exchange keyed by
+    # hash_key(doc_id) and each bucket runs the same decide_core —
+    # nothing but the n_buckets reduce outputs ever leaves tasks
+    def part_ids(tbl: pa.Table):
+        return hash_key(tbl["doc_id"].to_numpy(), None), tbl
 
-    def doc_bucket(ids: np.ndarray) -> np.ndarray:
-        return doc_id_bucket(ids, n_buckets)
+    def cogroup(docs: pa.Table, drops: pa.Table) -> pa.Table:
+        return decide_core(docs, dup_mask(docs["doc_id"].to_numpy(),
+                                          np.sort(drops["doc_id"].to_numpy())))
 
-    def tag_docs(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "bucket": pa.array(doc_bucket(ids)),
-            "doc_id": batch["doc_id"].cast(pa.int64()),
-            "text": batch["text"].cast(pa.string()),
-            "is_drop": pa.array(np.zeros(len(ids), dtype=bool)),
-        })
-
-    def tag_drops(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "bucket": pa.array(doc_bucket(ids)),
-            "doc_id": batch["doc_id"].cast(pa.int64()),
-            "text": pa.nulls(len(ids), pa.string()),
-            "is_drop": pa.array(np.ones(len(ids), dtype=bool)),
-        })
-
-    all_drops = rd.from_arrow_refs(reduced)
-    tagged = (planted.map_batches(tag_docs, batch_format="pyarrow",
-                                  batch_size=None)
-              .union(all_drops.map_batches(tag_drops, batch_format="pyarrow",
-                                           batch_size=None)))
-
-    def group_decide(g: pa.Table) -> pa.Table:
-        isdrop = g["is_drop"].to_numpy(zero_copy_only=False)
-        if isdrop.all():
-            return _OUT_SCHEMA.empty_table()
-        ids_all = g["doc_id"].to_numpy(zero_copy_only=False)
-        docs = g.filter(pa.array(~isdrop)).select(["doc_id", "text"])
-        sorted_drops = np.unique(ids_all[isdrop])
-        ids = ids_all[~isdrop]
-        return decide_core(docs, dup_mask(ids, sorted_drops))
-
-    return tagged.groupby("bucket").map_groups(group_decide,
-                                               batch_format="pyarrow")
+    planted_schema = pa.schema([("doc_id", pa.int64()), ("text", pa.string())])
+    return rd.from_arrow_refs(join_exchange(
+        planted.to_arrow_refs(), reduced, n_buckets, part_ids, part_ids,
+        cogroup, (planted_schema, _DROP_SCHEMA, _OUT_SCHEMA)))
 
 
 def contamination_scan_documents(sf_dir: str):
@@ -4535,7 +4508,10 @@ def heuristic_wordcount_filter(sf_dir: str):
 def knn_bruteforce(sf_dir: str, n_queries: int = 5, k: int = 10):
     """Brute-force cosine top-k: query matrix broadcast via ray.put, per
     batch float64 matmul emits per-query partial top-k, final per-query
-    merge in a tiny map_groups (SURVEY §2.9 similarity search)."""
+    merge through stages/similarity.merge_topk, the tree merge the ANN
+    searches share (SURVEY §2.9 similarity search)."""
+    from json_remedy_ray.stages.similarity import block_topk, merge_topk
+
     ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     qdf = ds.filter(expr=f"vec_id < {n_queries}").to_pandas().sort_values("vec_id")
     Q = np.stack(qdf["embedding"].to_numpy()).astype(np.float64)
@@ -4547,34 +4523,10 @@ def knn_bruteforce(sf_dir: str, n_queries: int = 5, k: int = 10):
         qids_, Qn_ = ray.get(q_ref)
         X = np.stack(batch["embedding"].to_numpy(zero_copy_only=False)).astype(np.float64)
         Xn = X / np.linalg.norm(X, axis=1, keepdims=True)
-        sims = Qn_ @ Xn.T  # (nq, batch)
-        vec_ids = batch["vec_id"].to_numpy()
-        rows_q, rows_n, rows_s = [], [], []
-        for qi, qid in enumerate(qids_):
-            srow = sims[qi]
-            mask = vec_ids != qid
-            cand_ids = vec_ids[mask]
-            cand_sims = srow[mask]
-            top = min(k, len(cand_ids))
-            sel = np.argpartition(-cand_sims, top - 1)[:top]
-            rows_q.extend([qid] * top)
-            rows_n.extend(cand_ids[sel].tolist())
-            rows_s.extend(cand_sims[sel].tolist())
-        return pa.table({
-            "query_id": pa.array(rows_q, type=pa.int64()),
-            "neighbor_id": pa.array(rows_n, type=pa.int64()),
-            "sim": pa.array(rows_s, type=pa.float64()),
-        })
+        return block_topk(qids_, batch["vec_id"].to_numpy(), Qn_ @ Xn.T, k)
 
     partials = ds.map_batches(score, batch_format="pyarrow", batch_size=4096)
-
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["sim", "neighbor_id"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["query_id", "neighbor_id", "rank"]]
-
-    return partials.groupby("query_id").map_groups(final_topk, batch_format="pandas")
+    return merge_topk(partials.to_arrow_refs(), k)
 
 
 # -------------------------------------------------------- model-ish stages

@@ -3,13 +3,19 @@
 Ray-native shapes (SURVEY §2.9, ray_guide "Aggregation at scale"):
 
   MinHash-LSH:  shingle -> minhash signature -> explode to
-                (band, band_hash, doc_id, signature) rows inside ONE
-                map_batches -> groupby(band, band_hash) -> candidate
-                pairs verified by signature-estimated Jaccard inside
-                map_groups -> min-representative mapping.
+                (band, band_hash, doc_id, signature) rows inside the
+                bucket exchange's partition task -> one reduce per
+                bucket sorts by (band, band_hash) and verifies each
+                run's candidate pairs by signature-estimated Jaccard ->
+                min-representative mapping.
 
-  SimHash:      64-bit signature per doc -> bucket by 16-bit bands ->
-                pairwise Hamming check within buckets.
+  SimHash:      64-bit signature per doc, 4 x 16-bit band rows in the
+                same partition task -> pairwise Hamming check within
+                each (band, band_key) run of the bucket reduce.
+
+Every keyed step runs on the one bucket exchange
+(state/partitioning.bucket_exchange / join_exchange); nothing here
+uses Ray's Dataset.groupby.
 
 All hashing is the shared vectorized polynomial core (functions/vhash):
 shingle hashes come from one rolling-hash pass over the raw Arrow
@@ -37,8 +43,9 @@ do).
 
 Connected components: candidate pairs are near-dups only (a tiny
 fraction of the corpus), so the final union-find runs on the driver;
-at larger dup rates swap in iterative min-label propagation (a few
-groupby rounds) — the pairs Dataset is the stable interface either way.
+at larger dup rates ``components_min_label`` runs iterative min-label
+propagation on exchange tasks — the pairs Dataset is the stable
+interface either way.
 """
 
 from __future__ import annotations
@@ -898,17 +905,8 @@ def simhash64(text: str) -> int:
     return int(_batch_simhash(pa.array([text or ""], type=pa.string()))[0])
 
 
-class SimHashStage:
-    def __init__(self, id_col: str = "doc_id", text_col: str = "text"):
-        self.id_col = id_col
-        self.text_col = text_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        sigs = _batch_simhash(batch[self.text_col]).view(np.int64)
-        return pa.table({
-            "doc_id": batch[self.id_col].cast(pa.int64()),
-            "simhash": pa.array(sigs),
-        })
+_SIMHASH_PAIRS = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
+                            ("hamming", pa.int64())])
 
 
 def _simhash_allpairs(pos: np.ndarray, hs: np.ndarray, max_hamming: int,
@@ -991,77 +989,80 @@ def simhash_dedup_pairs(ds: rd.Dataset, max_hamming: int = 3,
                         id_col: str = "doc_id", text_col: str = "text") -> rd.Dataset:
     """SimHash near-dup pairs: band the 64-bit signature into 4 x 16-bit
     keys (banding guarantees recall only for Hamming<=3: a pair differing
-    in <=3 bits must agree on >=1 of 4 bands), groupby band key, verify
-    Hamming <= max_hamming inside the bucket.  max_hamming > 3 lowers
-    recall (pairs may disagree on every band) — documented LSH tradeoff."""
-    sigs = ds.map_batches(
-        SimHashStage, fn_constructor_kwargs={"id_col": id_col, "text_col": text_col},
-        batch_format="pyarrow", batch_size=2048, concurrency=(1, 8),
+    in <=3 bits must agree on >=1 of 4 bands), co-locate each
+    (band, band_key) run through one bucket exchange, verify Hamming <=
+    max_hamming inside the run.  max_hamming > 3 lowers recall (pairs
+    may disagree on every band) — documented LSH tradeoff.
+
+    The signature is computed inside the partition task (the
+    minhash_dedup_pairs shape), so each input block becomes its band
+    rows in one task; the reduce sorts the bucket once and drops
+    singleton runs before any per-run Python."""
+    from json_remedy_ray.state.partitioning import (
+        bucket_exchange,
+        default_n_buckets,
+        hash_key,
     )
 
-    def explode(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        hs = batch["simhash"].to_numpy(zero_copy_only=False).view(np.uint64)
-        ids = batch["doc_id"]
-        if isinstance(ids, pa.ChunkedArray):
-            ids = ids.combine_chunks()
-        bands = np.repeat(np.arange(4, dtype=np.int32), n)
+    def part(tbl: pa.Table):
+        hs = _batch_simhash(tbl[text_col])
+        n = len(hs)
+        band = np.repeat(np.arange(4, dtype=np.int64), n)
         shifts = np.repeat(np.arange(4, dtype=np.uint64) * np.uint64(16), n)
-        keys = ((np.tile(hs, 4) >> shifts) & np.uint64(0xFFFF)).astype(np.int32)
-        return pa.table({
-            "doc_id": pa.concat_arrays([ids.cast(pa.int64())] * 4),
-            "band": pa.array(bands),
-            "band_key": pa.array(keys),
-            "simhash": pa.concat_arrays([batch["simhash"].combine_chunks() if isinstance(batch["simhash"], pa.ChunkedArray) else batch["simhash"]] * 4),
-        })
+        band_key = ((np.tile(hs, 4) >> shifts) & np.uint64(0xFFFF)).astype(np.int64)
+        ids = tbl[id_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
+        rows = pa.table({"band": pa.array(band), "band_key": pa.array(band_key),
+                         "doc_id": pa.array(np.tile(ids, 4)),
+                         "simhash": pa.array(np.tile(hs.view(np.int64), 4))})
+        return hash_key((band << 16) | band_key, None), rows
 
-    exploded = sigs.map_batches(explode, batch_format="pyarrow")
-
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        """IDENTICAL simhashes collapse first (advisor round-4: a giant
+    def bucket_pairs(ids: np.ndarray, hs_all: np.ndarray):
+        """One (band, band_key) run sorted by (simhash, doc_id).
+        IDENTICAL simhashes collapse first (advisor round-4: a giant
         exact-duplicate cluster — identical hashes — emitted all C(N,2)
         pairs; the minhash path already chains these): each identical
         run emits its doc_id-order CHAIN pairs (hamming 0, N-1 rows,
         connectivity preserved), and the hamming search runs over
         DISTINCT simhashes only with each run's min doc_id as rep."""
-        g = g.drop_duplicates("doc_id").sort_values(["simhash", "doc_id"],
-                                                    kind="mergesort")
-        empty = pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
-                              "doc_b": pd.Series([], dtype="int64"),
-                              "hamming": pd.Series([], dtype="int64")})
-        if len(g) < 2:
-            return empty
-        ids = g["doc_id"].to_numpy().astype(np.int64)
-        hs_all = g["simhash"].to_numpy().astype(np.int64).view(np.uint64)
-        new = np.ones(len(g), dtype=bool)
+        _, first = np.unique(ids, return_index=True)   # one row per doc
+        first.sort()
+        ids, hs_all = ids[first], hs_all[first]
+        new = np.ones(len(ids), dtype=bool)
         new[1:] = hs_all[1:] != hs_all[:-1]
-        out = []
-        member = ~new
-        if member.any():             # chain pairs inside identical runs
-            mpos = np.nonzero(member)[0]
-            out.append(pd.DataFrame({
-                "doc_a": pd.Series(ids[mpos - 1], dtype="int64"),
-                "doc_b": pd.Series(ids[mpos], dtype="int64"),
-                "hamming": pd.Series(np.zeros(len(mpos), dtype=np.int64),
-                                     dtype="int64"),
-            }))
+        mpos = np.nonzero(~new)[0]       # chain pairs inside identical runs
+        out = [(ids[mpos - 1], ids[mpos], np.zeros(len(mpos), np.int64))]
         rep_pos = np.nonzero(new)[0]
         if len(rep_pos) >= 2:
             # reps ordered by doc_id so emitted pairs keep doc_a < doc_b
             rep_ids = ids[rep_pos]
             perm = np.argsort(rep_ids, kind="stable")
-            hs = hs_all[rep_pos][perm]
             rids = rep_ids[perm]
-            ai, bj, ham = _simhash_exact_pairs(hs, max_hamming)
-            if len(ai):
-                out.append(pd.DataFrame({
-                    "doc_a": pd.Series(rids[ai], dtype="int64"),
-                    "doc_b": pd.Series(rids[bj], dtype="int64"),
-                    "hamming": pd.Series(ham, dtype="int64"),
-                }))
-        return pd.concat(out, ignore_index=True) if out else empty
+            ai, bj, ham = _simhash_exact_pairs(hs_all[rep_pos][perm],
+                                               max_hamming)
+            out.append((rids[ai], rids[bj], ham))
+        return out
 
-    return exploded.groupby(["band", "band_key"]).map_groups(bucket_pairs, batch_format="pandas")
+    def reduce_pairs(t: pa.Table) -> pa.Table:
+        band, bk, ids, sh = (t[c].to_numpy() for c in
+                             ("band", "band_key", "doc_id", "simhash"))
+        order = np.lexsort((ids, sh, bk, band))
+        band, bk, ids = band[order], bk[order], ids[order]
+        hs = sh[order].view(np.uint64)
+        new = np.ones(len(ids), dtype=bool)
+        new[1:] = (band[1:] != band[:-1]) | (bk[1:] != bk[:-1])
+        starts = np.nonzero(new)[0]
+        lens = np.diff(np.append(starts, len(ids)))
+        multi = lens >= 2        # singleton runs never reach Python
+        parts = [p for a, m in zip(starts[multi], lens[multi])
+                 for p in bucket_pairs(ids[a:a + m], hs[a:a + m])]
+        if not parts:
+            return _SIMHASH_PAIRS.empty_table()
+        return pa.table([pa.array(np.concatenate(c).astype(np.int64))
+                         for c in zip(*parts)], schema=_SIMHASH_PAIRS)
+
+    _, reduced = bucket_exchange(ds.to_arrow_refs(), default_n_buckets(),
+                                 part, reduce_pairs, _SIMHASH_PAIRS)
+    return rd.from_arrow_refs(reduced)
 
 
 # ------------------------------------------------------------- line dedup
@@ -1109,6 +1110,51 @@ def first_occurrence_dups(h: np.ndarray, texts: pa.Array,
     return order, ts, dup
 
 
+def _text_array(col) -> pa.Array:
+    """A text column as one string array: a single chunk as is (no
+    copy), a null-typed column as string, nulls as ''."""
+    import pyarrow.compute as pc
+
+    if isinstance(col, pa.ChunkedArray):
+        col = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+    if pa.types.is_null(col.type):
+        col = col.cast(pa.string())
+    if col.null_count:
+        col = pc.fill_null(col, "")
+    return col
+
+
+def _corpus_schema(ds: rd.Dataset, id_col: str, text_col: str) -> pa.Schema:
+    """(id, text) schema of a materialized corpus; a corpus whose blocks
+    carry no columns (no rows at all) reads as int64 ids, string text."""
+    schema = ds.schema()
+    if schema is None:
+        return pa.schema([(id_col, pa.int64()), (text_col, pa.string())])
+    return pa.schema([schema.base_schema.field(c) for c in (id_col, text_col)])
+
+
+def _doc_cogroup(ds: rd.Dataset, drop_refs, n_buckets: int, id_col: str,
+                 text_col: str, reduce_fn, schemas) -> rd.Dataset:
+    """The doc-cogroup fallback of line_dedup and crossdoc_span_dedup:
+    the materialized corpus's (id, text) columns and the per-doc drop
+    rows (a ``doc_id`` column) meet in one join_exchange keyed by
+    hash_key(doc_id), so the corpus text shuffles once and the drop set
+    never touches the driver.  ``reduce_fn(docs, drops)`` runs once per
+    bucket; ``schemas`` is (drops, out)."""
+    from json_remedy_ray.state.partitioning import hash_key, join_exchange
+
+    def part_docs(tbl: pa.Table):
+        ids = tbl[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        return hash_key(ids, None), tbl.select([id_col, text_col])
+
+    def part_drops(tbl: pa.Table):
+        return hash_key(tbl["doc_id"].to_numpy(), None), tbl
+
+    return rd.from_arrow_refs(join_exchange(
+        ds.to_arrow_refs(), drop_refs, n_buckets, part_docs, part_drops,
+        reduce_fn, (_corpus_schema(ds, id_col, text_col), *schemas)))
+
+
 def line_dedup(ds: rd.Dataset, id_col: str = "doc_id",
                text_col: str = "text", n_buckets: int = 256,
                broadcast_max: int = 1 << 25, sep: str = "\n") -> rd.Dataset:
@@ -1145,9 +1191,10 @@ def line_dedup(ds: rd.Dataset, id_col: str = "doc_id",
          and reduce output into a sorted (doc_id, line_no) array pair,
          and the driver sees only the drop count.  The common case
          broadcasts that pair (16 bytes per drop) and rebuilds in a
-         plain map_batches — the corpus text never shuffles; a
-         pathological drop set falls back to a doc-bucket cogroup that
-         shuffles the corpus once.
+         plain map_batches — the corpus text never shuffles.  Past
+         ``broadcast_max`` drops, documents and drops meet in one
+         ``join_exchange`` keyed by hash_key(doc_id) (the corpus
+         shuffles once) and each bucket runs the same rebuild.
     Size n_buckets ~ 4-8x cluster cores so buckets stay parallel and
     bounded.  The exchange and the rebuild both consume the one
     materialized set of corpus block refs (spill-backed); a production
@@ -1175,13 +1222,7 @@ def line_dedup(ds: rd.Dataset, id_col: str = "doc_id",
     def split_lines(batch: pa.Table):
         """(hash, flat lines, doc_id per line, line_no per line) for one
         corpus block — one Arrow split + one buffer-vectorized hash."""
-        col = batch[text_col]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        if pa.types.is_null(col.type):
-            col = col.cast(pa.string())
-        if col.null_count:
-            col = pc.fill_null(col, "")
+        col = _text_array(batch[text_col])
         parts = pc.split_pattern(col, pattern=sep)
         flat = pc.list_flatten(parts)
         parents = pc.list_parent_indices(parts).to_numpy(zero_copy_only=False)
@@ -1250,123 +1291,40 @@ def line_dedup(ds: rd.Dataset, id_col: str = "doc_id",
     # store as that one pair, so the rebuild becomes a plain map_batches
     # over the corpus blocks with a broadcast searchsorted lookup — NO
     # text shuffle at all.  Only a pathological drop set (more than
-    # ``broadcast_max`` rows) falls back to the doc-bucket cogroup,
+    # ``broadcast_max`` rows) falls back to the doc_id-keyed cogroup,
     # which shuffles the corpus once.
     drop_refs = side_refs + reduced_refs
     n_ref, drops_ref = merge_sorted(drop_refs, ["doc_id", "line_no"],
                                     broadcast_max)
     # default broadcast_max: 32M rows = 512 MB of drop pairs
 
-    if ray.get(n_ref) <= broadcast_max:
-        def rebuild_map(batch: pa.Table) -> pa.Table:
-            bd_ids, bd_nos = ray.get(drops_ref)
-            col = batch[text_col]
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            if pa.types.is_null(col.type):
-                col = col.cast(pa.string())
-            if col.null_count:
-                col = pc.fill_null(col, "")
-            doc_ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            parts = pc.split_pattern(col, pattern=sep)
-            offs = np.asarray(parts.offsets).astype(np.int64)
-            n_lines = np.diff(offs)
-            flat = pc.list_flatten(parts)
-            keep = np.ones(len(flat), dtype=bool)
-            lo = np.searchsorted(bd_ids, doc_ids, side="left")
-            hi = np.searchsorted(bd_ids, doc_ids, side="right")
-            lens = hi - lo
-            n_dropped = lens.astype(np.int64)
-            total = int(lens.sum())
-            if total:
-                # vectorized range expansion: drop-row indices per doc
-                di = np.repeat(np.arange(len(doc_ids)), lens)
-                base = np.repeat(lo, lens)
-                within = np.arange(total) - np.repeat(
-                    np.concatenate(([0], np.cumsum(lens)[:-1])), lens)
-                sel = base + within
-                keep[offs[di] + bd_nos[sel]] = False
-            kept_flat = flat.filter(pa.array(keep))
-            new_offs = np.concatenate(([0], np.cumsum(n_lines - n_dropped)))
-            return pa.table({
-                "doc_id": pa.array(doc_ids, type=pa.int64()),
-                "n_lines": pa.array(n_lines, type=pa.int64()),
-                "n_kept": pa.array(n_lines - n_dropped, type=pa.int64()),
-                "text_dedup": join_lines(kept_flat, new_offs),
-            })
-
-        return ds.map_batches(rebuild_map, batch_format="pyarrow",
-                              batch_size=None)
-
-    def doc_bucket(ids: np.ndarray) -> np.ndarray:
-        from json_remedy_ray.state.partitioning import doc_id_bucket
-
-        return doc_id_bucket(ids, n_buckets)
-
-    def tag_docs(batch: pa.Table) -> pa.Table:
-        col = batch[text_col]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        if pa.types.is_null(col.type):
-            col = col.cast(pa.string())
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "bucket": pa.array(doc_bucket(ids)),
-            "doc_id": batch[id_col].cast(pa.int64()),
-            "line_no": pa.nulls(len(batch), pa.int64()),
-            "text": pc.fill_null(col, "").cast(pa.string()),
-        })
-
-    def tag_drops(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "bucket": pa.array(doc_bucket(ids)),
-            "doc_id": batch["doc_id"],
-            "line_no": batch["line_no"],
-            "text": pa.nulls(len(batch), pa.string()),
-        })
-
-    all_drops = rd.from_arrow_refs(drop_refs)
-    tagged = (ds.map_batches(tag_docs, batch_format="pyarrow", batch_size=None)
-                .union(all_drops.map_batches(tag_drops, batch_format="pyarrow",
-                                             batch_size=None)))
-
-    def rebuild(g: pa.Table) -> pa.Table:
-        # fully vectorized reconstruction: one split over the bucket's
-        # documents, drop positions mapped to flat-line indices, one
-        # filtered re-list + binary_join (no per-doc Python)
-        empty = pa.table({"doc_id": pa.array([], type=pa.int64()),
-                          "n_lines": pa.array([], type=pa.int64()),
-                          "n_kept": pa.array([], type=pa.int64()),
-                          "text_dedup": pa.array([], type=pa.string())})
-        ln = g["line_no"]
-        if isinstance(ln, pa.ChunkedArray):
-            ln = ln.combine_chunks()
-        isdoc = pc.is_null(ln).to_numpy(zero_copy_only=False)
-        if not isdoc.any():      # drops without their documents (cannot happen)
-            return empty
-        ids_all = g["doc_id"].to_numpy(zero_copy_only=False)
-        doc_rows = np.nonzero(isdoc)[0]
-        doc_ids = ids_all[doc_rows]
-        order = np.argsort(doc_ids, kind="stable")
-        doc_rows, doc_ids = doc_rows[order], doc_ids[order]
-        texts = g["text"]
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        parts = pc.split_pattern(texts.take(pa.array(doc_rows)), pattern=sep)
+    def rebuild(batch: pa.Table, bd_ids: np.ndarray,
+                bd_nos: np.ndarray) -> pa.Table:
+        """Remove a corpus block's dropped lines, given drops SORTED by
+        (doc_id, line_no) — one split, a vectorized range expansion of
+        each doc's drops to flat-line indices, one filtered re-list and
+        binary_join (no per-doc Python).  Shared by the broadcast map
+        and the cogroup fallback's bucket reduce."""
+        col = _text_array(batch[text_col])
+        doc_ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        parts = pc.split_pattern(col, pattern=sep)
         offs = np.asarray(parts.offsets).astype(np.int64)
         n_lines = np.diff(offs)
         flat = pc.list_flatten(parts)
         keep = np.ones(len(flat), dtype=bool)
-        drop_rows = np.nonzero(~isdoc)[0]
-        if len(drop_rows):
-            d_ids = ids_all[drop_rows]
-            d_nos = ln.to_numpy(zero_copy_only=False)[drop_rows].astype(np.int64)
-            di = np.searchsorted(doc_ids, d_ids)       # each drop's doc is present
-            keep[offs[di] + d_nos] = False
-            n_dropped = np.bincount(di, minlength=len(doc_ids)).astype(np.int64)
-        else:
-            n_dropped = np.zeros(len(doc_ids), dtype=np.int64)
+        lo = np.searchsorted(bd_ids, doc_ids, side="left")
+        hi = np.searchsorted(bd_ids, doc_ids, side="right")
+        lens = hi - lo
+        n_dropped = lens.astype(np.int64)
+        total = int(lens.sum())
+        if total:
+            # vectorized range expansion: drop-row indices per doc
+            di = np.repeat(np.arange(len(doc_ids)), lens)
+            base = np.repeat(lo, lens)
+            within = np.arange(total) - np.repeat(
+                np.concatenate(([0], np.cumsum(lens)[:-1])), lens)
+            sel = base + within
+            keep[offs[di] + bd_nos[sel]] = False
         kept_flat = flat.filter(pa.array(keep))
         new_offs = np.concatenate(([0], np.cumsum(n_lines - n_dropped)))
         return pa.table({
@@ -1376,7 +1334,30 @@ def line_dedup(ds: rd.Dataset, id_col: str = "doc_id",
             "text_dedup": join_lines(kept_flat, new_offs),
         })
 
-    return tagged.groupby("bucket").map_groups(rebuild, batch_format="pyarrow")
+    if ray.get(n_ref) <= broadcast_max:
+        def rebuild_map(batch: pa.Table) -> pa.Table:
+            return rebuild(batch, *ray.get(drops_ref))
+
+        return ds.map_batches(rebuild_map, batch_format="pyarrow",
+                              batch_size=None)
+
+    # ---- pathological drop set: the doc_id-keyed cogroup, where each
+    # bucket sorts its drops and runs the same rebuild
+    ttype = _corpus_schema(ds, id_col, text_col).field(text_col).type
+    out_schema = pa.schema([
+        ("doc_id", pa.int64()), ("n_lines", pa.int64()),
+        ("n_kept", pa.int64()),
+        ("text_dedup", ttype if pa.types.is_large_string(ttype)
+         else pa.string())])
+
+    def cogroup(docs: pa.Table, drops: pa.Table) -> pa.Table:
+        d_ids = drops["doc_id"].to_numpy()
+        d_nos = drops["line_no"].to_numpy()
+        order = np.lexsort((d_nos, d_ids))
+        return rebuild(docs, d_ids[order], d_nos[order])
+
+    return _doc_cogroup(ds, drop_refs, n_buckets, id_col, text_col, cogroup,
+                        (_DROPS_SCHEMA, out_schema))
 
 
 # ------------------------------------------------------------ ngram jaccard
@@ -1655,20 +1636,17 @@ def crossdoc_span_dedup(ds: rd.Dataset, n: int = 8, n_buckets: int = 32,
     a gram's occurrences are one contiguous run, the run head is the
     global keeper, and every other row of a cross-doc run becomes a
     removal interval [pos, pos+n).  Stage 2 broadcasts the sorted
-    interval table (dup spans are sparse in real corpora; asserted
-    <= broadcast_max — the cogroup fallback for pathological corpora is
-    the line_dedup rebuild pattern) and one map over the corpus rebuilds
-    per-doc text with a coverage diff-array + one vectorized
-    binary_join.  Gram identity is the 64-bit hash (repo convention);
+    interval table (dup spans are sparse in real corpora) and one map
+    over the corpus rebuilds per-doc text with a coverage diff-array +
+    one vectorized binary_join.  Gram identity is the 64-bit hash (repo convention);
     the DuckDB oracle compares exact gram strings, so oracle equality
     doubles as the no-collision check.
 
     Past ``broadcast_max`` removal spans (default 8M rows = 192 MB) the
-    rebuild falls back to the line_dedup cogroup pattern (round-4
-    verdict #3): spans route back through a hash(doc_id) bucket
-    exchange, co-locate with their documents, and the same coverage
-    rebuild runs per bucket — the interval table never materializes on
-    the driver."""
+    rebuild falls back to a cogroup (round-4 verdict #3): documents and
+    spans meet in one ``join_exchange`` keyed by hash_key(doc_id), and
+    each bucket runs the same coverage rebuild — the interval table
+    never materializes on the driver."""
     import ray
     import pyarrow.compute as pc
 
@@ -1678,12 +1656,7 @@ def crossdoc_span_dedup(ds: rd.Dataset, n: int = 8, n_buckets: int = 32,
                               ("e", pa.int64())])
 
     def part_occ(tbl: pa.Table):
-        col = tbl[text_col]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        if col.null_count:
-            col = pc.fill_null(col, "")
-        g, gp, pos = _word_ngram_occurrences(col, n=n)
+        g, gp, pos = _word_ngram_occurrences(_text_array(tbl[text_col]), n=n)
         ids = tbl[id_col].to_numpy(zero_copy_only=False).astype(np.int64)[gp]
         t = pa.table({"gram": pa.array(g.view(np.int64)),
                       "doc_id": pa.array(ids), "pos": pa.array(pos)})
@@ -1768,13 +1741,6 @@ def crossdoc_span_dedup(ds: rd.Dataset, n: int = 8, n_buckets: int = 32,
             "clean_text": clean,
         }).cast(_OUT_SCHEMA)
 
-    def norm_text(col):
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        if col.null_count:
-            col = pc.fill_null(col, "")
-        return col
-
     # one task merges the span tables into a sorted (doc_id, s, e)
     # array set; the driver fetches only the count
     n_ref, spans_ref = merge_sorted(reduced, ["doc_id", "s", "e"],
@@ -1784,68 +1750,22 @@ def crossdoc_span_dedup(ds: rd.Dataset, n: int = 8, n_buckets: int = 32,
         def rebuild(batch: pa.Table) -> pa.Table:
             sdoc, ss, se = ray.get(spans_ref)
             ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            return rebuild_core(ids, norm_text(batch[text_col]), sdoc, ss, se)
+            return rebuild_core(ids, _text_array(batch[text_col]), sdoc, ss, se)
 
         return ds.map_batches(rebuild, batch_format="pyarrow",
                               batch_size=None)
 
-    # ---- pathological span table: doc_id-bucket cogroup fallback -----
-    # (the line_dedup posture): spans and documents co-locate by the
-    # SHARED doc_id_bucket router; the corpus text shuffles ONCE and
-    # the interval table never touches the driver.
-    from json_remedy_ray.state.partitioning import doc_id_bucket
-
-    def doc_bucket(ids: np.ndarray) -> np.ndarray:
-        return doc_id_bucket(ids, n_buckets)
-
-    def tag_docs(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "bucket": pa.array(doc_bucket(ids)),
-            "doc_id": pa.array(ids),
-            "text": norm_text(batch[text_col]).cast(pa.large_string()),
-            "s": pa.nulls(len(ids), pa.int64()),
-            "e": pa.nulls(len(ids), pa.int64()),
-        })
-
-    def tag_spans(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "bucket": pa.array(doc_bucket(ids)),
-            "doc_id": pa.array(ids),
-            "text": pa.nulls(len(ids), pa.large_string()),
-            "s": batch["s"].cast(pa.int64()),
-            "e": batch["e"].cast(pa.int64()),
-        })
-
-    all_spans = rd.from_arrow_refs(reduced)
-    tagged = (ds.map_batches(tag_docs, batch_format="pyarrow",
-                             batch_size=None)
-              .union(all_spans.map_batches(tag_spans, batch_format="pyarrow",
-                                           batch_size=None)))
-
-    def group_rebuild(g: pa.Table) -> pa.Table:
-        sc = g["s"]
-        if isinstance(sc, pa.ChunkedArray):
-            sc = sc.combine_chunks()
-        isdoc = pc.is_null(sc).to_numpy(zero_copy_only=False)
-        if not isdoc.any():     # spans without documents (cannot happen)
-            return _OUT_SCHEMA.empty_table()
-        ids_all = g["doc_id"].to_numpy(zero_copy_only=False)
-        docs = g.filter(pa.array(isdoc))
-        sdoc = ids_all[~isdoc]
-        ss = sc.to_numpy(zero_copy_only=False)[~isdoc].astype(np.int64)
-        ec = g["e"]
-        if isinstance(ec, pa.ChunkedArray):
-            ec = ec.combine_chunks()
-        se = ec.to_numpy(zero_copy_only=False)[~isdoc].astype(np.int64)
-        order = np.lexsort((ss, sdoc))
-        ids = docs["doc_id"].to_numpy(zero_copy_only=False)
-        return rebuild_core(ids, norm_text(docs["text"]),
+    # ---- pathological span table: the doc_id-keyed cogroup, where each
+    # bucket sorts its spans and runs the same rebuild_core
+    def cogroup(docs: pa.Table, spans: pa.Table) -> pa.Table:
+        sdoc, ss, se = (spans[c].to_numpy() for c in ("doc_id", "s", "e"))
+        order = np.lexsort((se, ss, sdoc))
+        ids = docs[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        return rebuild_core(ids, _text_array(docs[text_col]),
                             sdoc[order], ss[order], se[order])
 
-    return tagged.groupby("bucket").map_groups(group_rebuild,
-                                               batch_format="pyarrow")
+    return _doc_cogroup(ds, reduced, n_buckets, id_col, text_col, cogroup,
+                        (_SPAN_SCHEMA, _OUT_SCHEMA))
 
 
 def crossdoc_ngram_stats(ds: rd.Dataset, n: int = 8, n_buckets: int = 32,

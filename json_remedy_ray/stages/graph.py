@@ -110,8 +110,8 @@ def extract_outlink_anchors(html: pa.Array | pa.ChunkedArray):
 
 def _host_key(hosts: pa.Array) -> np.ndarray:
     """The ONE router for both roles (src routing and host-universe
-    routing) — the doc_id_bucket lesson: co-location breaks silently if
-    the two sides hash differently."""
+    routing): co-location breaks silently if the two sides hash
+    differently."""
     from json_remedy_ray.functions.vhash import hash_strings
 
     return hash_strings(hosts)

@@ -19,8 +19,8 @@ Two shapes:
   stratified_sample_k — exactly k rows per stratum: the k SMALLEST
     hash values within each stratum (a uniform ordered sample).  Runs
     as the group-wise top-N shape: a per-block combiner keeps only each
-    block's local k-smallest per stratum, so the final
-    groupby(stratum) shuffles at most k * n_blocks rows — never the
+    block's local k-smallest per stratum, so the exchange keyed by
+    stratum moves at most k * strata rows per block — never the
     corpus.
 
 The hash is the 32-bit Knuth multiplicative hash (2654435761 = floor
@@ -74,29 +74,45 @@ def stratified_sample_rate(ds: rd.Dataset, rates, id_col: str = "doc_id",
 def stratified_sample_k(ds: rd.Dataset, k: int,
                         id_col: str = "doc_id",
                         stratum_col: str = "source") -> rd.Dataset:
-    """Exactly min(k, |stratum|) rows per stratum: the k smallest hash
-    values (ties broken by id — the hash is injective on ids < 2^32 but
-    the tie-break keeps the contract explicit).  Per-block combiner
-    first, then one small groupby."""
+    """Exactly min(k, |stratum|) rows per non-null stratum: the k
+    smallest hash values (ties broken by id — the hash is injective on
+    ids < 2^32 but the tie-break keeps the contract explicit).  One
+    bucket exchange keyed by the stratum: the partition task keeps its
+    block's local k smallest per stratum (the combiner), and each
+    bucket reduce ranks the candidates with one lexsort."""
+    import pyarrow.compute as pc
 
-    def local_topk(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({
-            "stratum": batch[stratum_col].to_numpy(zero_copy_only=False),
-            "id": ids,
-            "h": sample_hash(ids).view(np.int64),  # signed for arrow
-        })
-        df = df.sort_values(["stratum", "h", "id"], kind="mergesort")
-        return pa.Table.from_pandas(df.groupby("stratum", sort=False).head(k),
-                                    preserve_index=False)
+    from json_remedy_ray.functions.vhash import hash_strings
+    from json_remedy_ray.state.partitioning import (
+        bucket_exchange,
+        default_n_buckets,
+        rank_in_runs,
+    )
 
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["h", "id"], kind="mergesort").head(k)
-        return pd.DataFrame({
-            "stratum": g["stratum"].to_numpy(),
-            "id": g["id"].astype("int64").to_numpy(),
-            "sample_rank": np.arange(1, len(g) + 1, dtype=np.int64),
-        })
+    ds = ds.materialize()
+    schema = pa.schema([
+        ("stratum", ds.schema().base_schema.field(stratum_col).type),
+        ("id", pa.int64()), ("sample_rank", pa.int64())])
 
-    local = ds.map_batches(local_topk, batch_format="pyarrow", batch_size=None)
-    return local.groupby("stratum").map_groups(final_topk, batch_format="pandas")
+    def topk(strata, ids: np.ndarray) -> pa.Table:
+        """The k smallest (hash, id) rows of each stratum, ranked."""
+        code = pc.rank(strata, tiebreaker="dense").to_numpy()
+        order = np.lexsort((ids, sample_hash(ids), code))
+        rank = rank_in_runs(code[order])
+        keep = order[rank < k]
+        return pa.table([strata.take(pa.array(keep)), pa.array(ids[keep]),
+                         pa.array(rank[rank < k] + 1)], schema=schema)
+
+    def local_topk(tbl: pa.Table):
+        tbl = tbl.filter(pc.is_valid(tbl[stratum_col]))
+        strata = tbl[stratum_col].combine_chunks()
+        ids = tbl[id_col].to_numpy().astype(np.int64)
+        top = topk(strata, ids)
+        return hash_strings(pc.cast(top["stratum"], pa.string())), top
+
+    def final_topk(t: pa.Table) -> pa.Table:
+        return topk(t["stratum"].chunk(0), t["id"].to_numpy())
+
+    _, reduced = bucket_exchange(ds.to_arrow_refs(), default_n_buckets(),
+                                 local_topk, final_topk, schema)
+    return rd.from_arrow_refs(reduced)

@@ -23,6 +23,14 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from json_remedy_ray.state.partitioning import (
+    bucket_exchange,
+    default_n_buckets,
+    hash_key,
+    rank_in_runs,
+    tree_reduce,
+)
+
 
 def _stack(col) -> np.ndarray:
     if isinstance(col, (pa.Array, pa.ChunkedArray)):
@@ -30,6 +38,55 @@ def _stack(col) -> np.ndarray:
     else:  # pandas Series / list
         vals = np.asarray(col, dtype=object)
     return np.stack(vals).astype(np.float64)
+
+
+TOPK_SCHEMA = pa.schema([("query_id", pa.int64()), ("neighbor_id", pa.int64()),
+                         ("sim", pa.float64())])
+
+
+def _topk_rows(tables: list[pa.Table], k: int) -> pa.Table:
+    """Each query's k best TOPK_SCHEMA rows among ``tables``, sorted by
+    (query_id, sim desc, neighbor_id asc).  Associative, so partials
+    merge in any grouping."""
+    live = [t for t in tables if t.num_rows]
+    if not live:
+        return TOPK_SCHEMA.empty_table()
+    t = pa.concat_tables(live).combine_chunks()
+    q, n, s = (t[c].to_numpy() for c in TOPK_SCHEMA.names)
+    order = np.lexsort((n, -s, q))
+    return t.take(pa.array(order[rank_in_runs(q[order]) < k]))
+
+
+def block_topk(qids, nids, sims: np.ndarray, k: int,
+               keep: np.ndarray | None = None) -> pa.Table:
+    """One block's partial top-k: each query's k best neighbors in the
+    (queries, rows) similarity matrix ``sims``, self-matches and the
+    False cells of ``keep`` excluded.  The selection is the exact
+    (sim desc, neighbor_id asc) order, so a tie at the k-th place
+    (structural in PQ scores: vectors sharing codes tie exactly) keeps
+    the same rows in every block and in the final merge."""
+    q = np.repeat(np.asarray(qids, np.int64), len(nids))
+    nb = np.tile(np.asarray(nids, np.int64), len(qids))
+    m = q != nb
+    if keep is not None:
+        m &= keep.ravel()
+    return _topk_rows([pa.table([pa.array(q[m]), pa.array(nb[m]),
+                                 pa.array(sims.ravel()[m])],
+                                schema=TOPK_SCHEMA)], k)
+
+
+def merge_topk(refs, k: int) -> pd.DataFrame:
+    """Per-query top-k over partial-top-k blocks (TOPK_SCHEMA), ranked
+    by (sim desc, neighbor_id asc): the shared final merge of every
+    search here and of functions/queries.knn_bruteforce.  The merge
+    runs through state/partitioning.tree_reduce, so the driver holds
+    at most fanout x queries x k rows at any block count."""
+    top = _topk_rows(ray.get(tree_reduce(refs, lambda ts: _topk_rows(ts, k))),
+                     k)
+    q = top["query_id"].to_numpy()
+    return pd.DataFrame({"query_id": q,
+                         "neighbor_id": top["neighbor_id"].to_numpy(),
+                         "rank": rank_in_runs(q).astype(np.int64) + 1})
 
 
 def train_centroids(ds: rd.Dataset, n_centroids: int = 16, sample_rows: int = 2048,
@@ -87,34 +144,17 @@ def ivf_search(indexed: rd.Dataset, centroids: np.ndarray, queries: np.ndarray,
         qids, Qn_, probe_ = ray.get(q_ref)
         X = _stack(batch[vec_col])
         Xn = X / np.linalg.norm(X, axis=1, keepdims=True)
-        vec_ids = batch[id_col].to_numpy()
         lids = batch["list_id"].to_numpy()
-        rows_q, rows_n, rows_s = [], [], []
-        for qi, qid in enumerate(qids):
-            mask = np.isin(lids, probe_[qi]) & (vec_ids != qid)
-            if not mask.any():
-                continue
-            sims = Xn[mask] @ Qn_[qi]
-            cand = vec_ids[mask]
-            top = min(k, len(cand))
-            sel = np.argpartition(-sims, top - 1)[:top]
-            rows_q.extend([qid] * top)
-            rows_n.extend(cand[sel].tolist())
-            rows_s.extend(sims[sel].tolist())
-        return pa.table({
-            "query_id": pa.array(rows_q, type=pa.int64()),
-            "neighbor_id": pa.array(rows_n, type=pa.int64()),
-            "sim": pa.array(rows_s, type=pa.float64()),
-        })
+        probed = (lids[None, :, None] == probe_[:, None, :]).any(axis=2)
+        return block_topk(qids, batch[id_col].to_numpy(), Qn_ @ Xn.T, k,
+                          probed)
 
     partials = sub.map_batches(score, batch_format="pyarrow", batch_size=4096)
-    pdf = partials.to_pandas()
-    out = (pdf.sort_values(["query_id", "sim", "neighbor_id"], ascending=[True, False, True])
-              .groupby("query_id").head(k).reset_index(drop=True))
-    out["rank"] = out.groupby("query_id").cumcount() + 1
-    return out[["query_id", "neighbor_id", "rank"]]
+    return merge_topk(partials.to_arrow_refs(), k)
 
 
+_EMB_PAIRS = pa.schema([("vec_a", pa.int64()), ("vec_b", pa.int64()),
+                        ("cosine", pa.float64())])
 _EMB_CHUNK = 512              # matmul tile edge (memory bound, not a drop cap)
 _EMB_EXHAUSTIVE_MAX = 65536   # largest bucket verified with EXACT recall
 
@@ -129,7 +169,7 @@ def verify_embedding_bucket(g: pd.DataFrame, threshold: float,
 
       n <= exhaustive_max (64k): blocked EXHAUSTIVE 512x512 matmul tiles
         — every pair compared, EXACT recall, memory bounded per tile.
-        The whole bucket already sits in this map_groups group, so the
+        The whole bucket already sits in this exchange reduce, so the
         O(n^2) dot products (<= ~2e9 at the cap, one numpy matmul chain)
         are the affordable price of not dropping pairs; in-bucket recall
         is now exact everywhere the group itself is materializable.
@@ -143,16 +183,14 @@ def verify_embedding_bucket(g: pd.DataFrame, threshold: float,
         (distance 0) always sort adjacent, so identical-vector recovery
         survives even here.
     """
-    empty = pd.DataFrame({"vec_a": pd.Series([], dtype="int64"),
-                          "vec_b": pd.Series([], dtype="int64"),
-                          "cosine": pd.Series([], dtype="float64")})
+    none = np.empty(0, np.int64)
+    out = [(none, none, np.empty(0))]
     if len(g) < 2:
-        return empty
+        return _pairs_frame(out)
     X = np.stack(g[vec_col].to_numpy()).astype(np.float64)
     ids = g["vec_id"].to_numpy().astype(np.int64)
     n = len(ids)
     Xn = X / np.linalg.norm(X, axis=1, keepdims=True)
-    out = []
 
     if n <= exhaustive_max:
         order = np.argsort(ids)
@@ -165,13 +203,8 @@ def verify_embedding_bucket(g: pd.DataFrame, threshold: float,
                 if i0 == j0:
                     hits = np.triu(hits, k=1)
                 ai, bj = np.nonzero(hits)
-                if len(ai):
-                    out.append(pd.DataFrame({
-                        "vec_a": pd.Series(ids[i0 + ai], dtype="int64"),
-                        "vec_b": pd.Series(ids[j0 + bj], dtype="int64"),
-                        "cosine": pd.Series(sims[ai, bj], dtype="float64"),
-                    }))
-        return pd.concat(out, ignore_index=True) if out else empty
+                out.append((ids[i0 + ai], ids[j0 + bj], sims[ai, bj]))
+        return _pairs_frame(out)
 
     # degenerate giant bucket: random-projection order + 50% overlap
     rng = np.random.RandomState(seed)
@@ -188,49 +221,55 @@ def verify_embedding_bucket(g: pd.DataFrame, threshold: float,
         cid, C = cid[ord2], C[ord2]
         sims = C @ C.T
         ai, bj = np.nonzero(np.triu(sims >= threshold, k=1))
-        if len(ai):
-            out.append(pd.DataFrame({
-                "vec_a": pd.Series(cid[ai], dtype="int64"),
-                "vec_b": pd.Series(cid[bj], dtype="int64"),
-                "cosine": pd.Series(sims[ai, bj], dtype="float64"),
-            }))
-    if not out:
-        return empty
+        out.append((cid[ai], cid[bj], sims[ai, bj]))
     # 50% overlap re-compares some pairs: dedup before returning
-    return (pd.concat(out, ignore_index=True)
-              .drop_duplicates(["vec_a", "vec_b"]).reset_index(drop=True))
+    return (_pairs_frame(out).drop_duplicates(["vec_a", "vec_b"])
+            .reset_index(drop=True))
+
+
+def _pairs_frame(parts) -> pd.DataFrame:
+    """(vec_a, vec_b, cosine) frame from per-tile array triples."""
+    a, b, c = (np.concatenate(x) for x in zip(*parts))
+    return pd.DataFrame({"vec_a": a, "vec_b": b,
+                         "cosine": c.astype(np.float64)})
 
 
 def embedding_neardup_pairs(ds: rd.Dataset, threshold: float = 0.95, n_planes: int = 16,
                             seed: int = 42, id_col: str = "vec_id",
                             vec_col: str = "embedding") -> rd.Dataset:
-    """Hyperplane-LSH bucketing + in-bucket cosine verification
-    (see verify_embedding_bucket for the bucket-size regimes)."""
-    def dim_of(first_row) -> int:
-        return len(first_row)
+    """Hyperplane-LSH bucketing + in-bucket cosine verification (see
+    verify_embedding_bucket for the bucket-size regimes).  Rows move
+    through one bucket exchange keyed by the LSH key; each reduce sorts
+    its bucket by key and verifies only the runs of >= 2 rows."""
+    def part(tbl: pa.Table):
+        X = _stack(tbl[vec_col])
+        # the same seeded planes in every task (a pure function of dim)
+        bits = (X @ np.random.RandomState(seed).randn(X.shape[1], n_planes)) > 0
+        keys = (bits.astype(np.int64) << np.arange(bits.shape[1])).sum(axis=1)
+        return hash_key(keys, None), pa.table({
+            "vec_id": tbl[id_col].cast(pa.int64()), vec_col: tbl[vec_col],
+            "lsh": pa.array(keys)})
 
-    sample = ds.limit(1).to_pandas()[vec_col].iloc[0]
-    rng = np.random.RandomState(seed)
-    planes = rng.randn(dim_of(sample), n_planes)
-    planes_ref = ray.put(planes)
+    def reduce_pairs(t: pa.Table) -> pa.Table:
+        keys = t["lsh"].to_numpy()
+        order = np.argsort(keys, kind="stable")
+        ks = keys[order]
+        multi = np.zeros(len(ks), dtype=bool)
+        same = ks[1:] == ks[:-1]
+        multi[1:] |= same
+        multi[:-1] |= same       # rows of runs >= 2; singletons never reach pandas
+        if not multi.any():
+            return _EMB_PAIRS.empty_table()
+        sub = t.take(pa.array(order[multi])).to_pandas()
+        out = pd.concat([verify_embedding_bucket(g, threshold, vec_col)
+                         for _, g in sub.groupby("lsh", sort=False)],
+                        ignore_index=True)
+        return pa.Table.from_pandas(out, schema=_EMB_PAIRS,
+                                    preserve_index=False)
 
-    def bucket(batch: pa.Table) -> pa.Table:
-        P = ray.get(planes_ref)
-        X = _stack(batch[vec_col])
-        bits = (X @ P) > 0
-        keys = np.zeros(len(X), dtype=np.int64)
-        for b in range(bits.shape[1]):
-            keys |= bits[:, b].astype(np.int64) << b
-        return pa.table({
-            "vec_id": batch[id_col],
-            "bucket": pa.array(keys, type=pa.int64()),
-            vec_col: batch[vec_col],
-        })
-
-    bucketed = ds.map_batches(bucket, batch_format="pyarrow", batch_size=4096)
-    return bucketed.groupby("bucket").map_groups(
-        lambda g: verify_embedding_bucket(g, threshold, vec_col),
-        batch_format="pandas")
+    _, reduced = bucket_exchange(ds.to_arrow_refs(), default_n_buckets(),
+                                 part, reduce_pairs, _EMB_PAIRS)
+    return rd.from_arrow_refs(reduced)
 
 
 # ------------------------------------------------------------- k-means
@@ -420,40 +459,14 @@ def pq_search(encoded: rd.Dataset, books: np.ndarray, queries: np.ndarray,
         if isinstance(codes_col, pa.ChunkedArray):
             codes_col = codes_col.combine_chunks()
         codes = (np.asarray(codes_col.values).reshape(-1, m_sub))
-        vec_ids = batch[id_col].to_numpy()
-        n = len(vec_ids)
-        rows_q, rows_n, rows_s = [], [], []
-        for qi, qid in enumerate(qids):
-            sims = np.zeros(n, dtype=np.float64)
-            for s in range(m_sub):           # m_sub tiny; gather vectorized
-                sims += lut_[qi, s][codes[:, s]]
-            mask = vec_ids != qid
-            cand, sims_m = vec_ids[mask], sims[mask]
-            top = min(k, len(cand))
-            if top == 0:
-                continue
-            # deterministic (sim desc, neighbor asc) selection — NOT
-            # argpartition: ADC ties are structural (vectors sharing
-            # codes tie exactly), and an arbitrary tied drop at block
-            # level can't be recovered by the driver merge
-            sel = np.lexsort((cand, -sims_m))[:top]
-            rows_q.extend([int(qid)] * top)
-            rows_n.extend(cand[sel].tolist())
-            rows_s.extend(sims_m[sel].tolist())
-        return pa.table({
-            "query_id": pa.array(rows_q, type=pa.int64()),
-            "neighbor_id": pa.array(rows_n, type=pa.int64()),
-            "sim": pa.array(rows_s, type=pa.float64()),
-        })
+        sims = np.zeros((len(qids), len(codes)))
+        for s in range(m_sub):               # m_sub tiny; gather vectorized
+            sims += lut_[:, s, codes[:, s]]
+        return block_topk(qids, batch[id_col].to_numpy(), sims, k)
 
     partials = encoded.map_batches(score, batch_format="pyarrow",
                                    batch_size=4096)
-    pdf = partials.to_pandas()
-    out = (pdf.sort_values(["query_id", "sim", "neighbor_id"],
-                           ascending=[True, False, True])
-              .groupby("query_id").head(k).reset_index(drop=True))
-    out["rank"] = out.groupby("query_id").cumcount() + 1
-    return out[["query_id", "neighbor_id", "rank"]]
+    return merge_topk(partials.to_arrow_refs(), k)
 
 
 def pq_search_rerank(ds: rd.Dataset, encoded: rd.Dataset,
@@ -479,39 +492,33 @@ def pq_search_rerank(ds: rd.Dataset, encoded: rd.Dataset,
                       k=shortlist_mult * k, id_col=id_col)
     cand_ids = np.unique(short["neighbor_id"].to_numpy())
     Qn = queries / np.linalg.norm(queries, axis=1, keepdims=True)
-    q_ref = ray.put((np.asarray(query_ids), Qn))
+    pairs = pa.Table.from_pandas(short[["query_id", "neighbor_id"]],
+                                 preserve_index=False)
+    q_ref = ray.put((np.asarray(query_ids), Qn, pairs))
     wanted = pa.array(cand_ids.astype(np.int64), type=pa.int64())
 
     def rescore(batch: pa.Table) -> pa.Table:
         # score every shortlisted row against ALL queries (one small
-        # matmul, no per-row Python); the driver join below keeps each
-        # query's own candidates
+        # matmul, no per-row Python), then keep each query's own
+        # candidates — the join also drops self-matches, which
+        # pq_search already excluded from the shortlist
         sub = batch.filter(pc.is_in(batch[id_col].cast(pa.int64()),
                                     value_set=wanted))
         if sub.num_rows == 0:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             "neighbor_id": pa.array([], pa.int64()),
-                             "sim": pa.array([], pa.float64())})
-        qids, Qn_ = ray.get(q_ref)
+            return TOPK_SCHEMA.empty_table()
+        qids, Qn_, pairs_ = ray.get(q_ref)
         X = _stack(sub[vec_col])
         Xn = X / np.linalg.norm(X, axis=1, keepdims=True)
         vec_ids = sub[id_col].to_numpy().astype(np.int64)
         sims = Xn @ Qn_.T                       # (n_cand, nq)
         nq = len(qids)
-        return pa.table({
+        scored = pa.table({
             "query_id": pa.array(np.tile(qids.astype(np.int64), len(vec_ids))),
             "neighbor_id": pa.array(np.repeat(vec_ids, nq)),
             "sim": pa.array(sims.ravel()),
         })
+        return scored.join(pairs_, ["query_id", "neighbor_id"],
+                           join_type="inner").select(TOPK_SCHEMA.names)
 
-    pdf = ds.map_batches(rescore, batch_format="pyarrow",
-                         batch_size=4096).to_pandas()
-    # keep only (query, candidate) pairs from the shortlist — also drops
-    # self-matches, which pq_search already excluded from the shortlist
-    pdf = pdf.merge(short[["query_id", "neighbor_id"]],
-                    on=["query_id", "neighbor_id"], how="inner")
-    out = (pdf.sort_values(["query_id", "sim", "neighbor_id"],
-                           ascending=[True, False, True])
-              .groupby("query_id").head(k).reset_index(drop=True))
-    out["rank"] = out.groupby("query_id").cumcount() + 1
-    return out[["query_id", "neighbor_id", "rank"]]
+    return merge_topk(ds.map_batches(rescore, batch_format="pyarrow",
+                                     batch_size=4096).to_arrow_refs(), k)

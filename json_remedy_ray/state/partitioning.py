@@ -1,8 +1,10 @@
 """Keyed partitioning: the bucket exchange, its routers, and host salting.
 
 The bucket exchange (``bucket_exchange``, ``join_exchange``) is the
-keyed shuffle the corpus-scale operators run on.  It owns four
-decisions so its callers write none of them:
+library's one keyed shuffle: every corpus-scale operator co-locates
+rows by key through it, and none uses Ray's ``Dataset.groupby``, whose
+sort-shuffle pays a fixed ~8 s on this Ray build (BASELINE.md).  It
+owns four decisions so its callers write none of them:
 
 * routing — ``partition_fn(tbl)`` returns ``(key, table)``, or
   ``(side_table, key, table)`` when the exchange has a side output.
@@ -21,8 +23,10 @@ decisions so its callers write none of them:
   called.
 
 ``default_n_buckets`` is the shared bucket count for operators that
-size from the cluster.  The routers (``hash_key``, ``doc_id_bucket``)
-are shared so that two sides of one co-location hash identically.
+size from the cluster.  The router ``hash_key`` (uint64 key from an
+int64 key and optional salt) is shared so that the two sides of one
+co-location hash identically — the doc-cogroup fallbacks key both
+their documents and their drop rows by ``hash_key(doc_id, None)``.
 
 Host salting: ``host_bucket`` is ``hash(url_host) % num_buckets``;
 hot hosts (those above a frequency share) are salted into ``salt_n``
@@ -165,25 +169,6 @@ def salt_replicate(keys: np.ndarray, hot_arr: np.ndarray,
     return idx, salts
 
 
-def find_hot_hosts(ds, threshold_frac: float = 0.05, salt_n: int = 8,
-                   host_col: str = "url_host"):
-    """Pre-aggregate per-batch host counts (combiner) then a tiny groupby:
-    returns {host: salt_n} for hosts above ``threshold_frac`` of rows.
-    The result is small — broadcast it with ray.put, never join it."""
-    import pyarrow as _pa
-
-    def partial_counts(batch: pa.Table) -> pa.Table:
-        counts = batch.group_by(host_col).aggregate([(host_col, "count")])
-        return counts.rename_columns([host_col, "cnt"])
-
-    partials = ds.map_batches(partial_counts, batch_format="pyarrow")
-    totals = partials.groupby(host_col).sum("cnt")
-    pdf = totals.to_pandas()  # tiny: one row per distinct host
-    total = pdf["sum(cnt)"].sum()
-    hot = pdf[pdf["sum(cnt)"] / max(1, total) >= threshold_frac]
-    return {h: salt_n for h in hot[host_col].tolist()}
-
-
 def ts_int64_col(tbl: pa.Table, col: str = "ts") -> np.ndarray:
     """int64-microsecond view of a timestamp column (chunk-combining)."""
     c = tbl[col].cast(pa.timestamp("us"))
@@ -204,17 +189,6 @@ def hash_key(key: np.ndarray, salt: np.ndarray | None) -> np.ndarray:
     return h
 
 
-def doc_id_bucket(ids: np.ndarray, n_buckets: int) -> np.ndarray:
-    """Bucket index from a doc_id column — the ONE router shared by
-    every doc-cogroup fallback (line_dedup, crossdoc_span_dedup,
-    filter_pipeline_documents): both sides of a cogroup must hash
-    identically or co-location silently breaks (round-5 review)."""
-    from json_remedy_ray.functions.vhash import _mix64
-
-    return (_mix64(ids.astype(np.uint64))
-            % np.uint64(n_buckets)).view(np.int64)
-
-
 def salt_by_time_bucket(user: np.ndarray, ts_i: np.ndarray,
                         hot_arr: np.ndarray, bucket_us: int) -> np.ndarray:
     """int64 salt per row: HOT users' rows salt by floor(ts / bucket) so
@@ -231,11 +205,11 @@ def salt_by_time_bucket(user: np.ndarray, ts_i: np.ndarray,
 
 def tree_reduce(refs, merge_fn, fanout: int = 64):
     """Shared tree-merge scaffold for the driver-combiner family
-    (_partial_agg, Misra-Gries, KMV bottom-k, HLL registers): while more
-    than ``fanout`` refs remain, one remote task merges each group of
-    ``fanout`` tables, so the driver finally holds at most ``fanout``
-    partials at ANY block count (10^6 blocks -> 3 levels).  ``merge_fn``
-    must be associative over its table inputs."""
+    (_partial_agg, Misra-Gries, KMV bottom-k, HLL registers, per-query
+    top-k): while more than ``fanout`` refs remain, one remote task
+    merges each group of ``fanout`` tables, so the driver finally holds
+    at most ``fanout`` partials at ANY block count (10^6 blocks -> 3
+    levels).  ``merge_fn`` must be associative over its table inputs."""
     import ray
 
     if len(refs) <= fanout:
@@ -368,6 +342,15 @@ def bucket_exchange(refs, n_buckets: int, partition_fn, reduce_fn,
         for b in range(n_buckets)
     ]
     return side_refs, reduced
+
+
+def rank_in_runs(keys: np.ndarray) -> np.ndarray:
+    """0-based position of each row within its run of equal ``keys``
+    (``keys`` sorted) — the rank step of a top-k reduce."""
+    idx = np.arange(len(keys))
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    return idx - np.maximum.accumulate(np.where(new, idx, 0))
 
 
 def merge_sorted(refs, cols: list[str], max_rows: int):

@@ -372,6 +372,46 @@ def test_line_dedup_zero_rows(ray_session, broadcast_max):
     assert out.count() == 0
 
 
+# as for line_dedup: an empty span set still broadcasts at
+# broadcast_max=0; -1 forces the cogroup fallback
+@pytest.mark.parametrize("broadcast_max", [8_000_000, 0, -1])
+def test_crossdoc_span_dedup_no_repeated_gram(ray_session, broadcast_max):
+    """No word 8-gram repeats across documents: every doc comes back
+    whole on both routing paths."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from json_remedy_ray.stages.dedup import crossdoc_span_dedup
+
+    docs = pa.table({
+        "doc_id": pa.array([1, 2], type=pa.int64()),
+        "text": pa.array(["alpha beta gamma delta epsilon zeta eta theta iota",
+                          "one two three four five six seven eight nine"]),
+    })
+    out = (crossdoc_span_dedup(rd.from_arrow(docs), n=8,
+                               broadcast_max=broadcast_max).to_pandas()
+           .sort_values("doc_id").reset_index(drop=True))
+    assert out["doc_id"].tolist() == [1, 2]
+    assert out["n_tokens"].tolist() == [9, 9]
+    assert out["n_removed"].tolist() == [0, 0]
+    assert out["clean_text"].tolist() == docs["text"].to_pylist()
+
+
+@pytest.mark.parametrize("broadcast_max", [8_000_000, 0, -1])
+def test_crossdoc_span_dedup_zero_rows(ray_session, broadcast_max):
+    """A zero-row corpus gives zero rows on both routing paths."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from json_remedy_ray.stages.dedup import crossdoc_span_dedup
+
+    empty = pa.table({"doc_id": pa.array([], pa.int64()),
+                      "text": pa.array([], pa.string())})
+    out = crossdoc_span_dedup(rd.from_arrow(empty), n=8,
+                              broadcast_max=broadcast_max)
+    assert out.count() == 0
+
+
 def test_paragraph_dedup_multichar_sep(ray_session):
     """line_dedup with sep='\\n\\n' dedups whole paragraphs: single
     newlines stay inside a unit, and both routing paths (broadcast and

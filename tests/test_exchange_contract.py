@@ -6,6 +6,10 @@ operator built on it gives the same answer at any bucket count."""
 
 from __future__ import annotations
 
+import tempfile
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -233,9 +237,88 @@ def _pagerank_refs(nb):
     return pa.concat_tables(ray.get(refs)).to_pandas()
 
 
+@contextmanager
+def _default_buckets(nb: int):
+    """Size every default_n_buckets() caller at ``nb`` buckets (the
+    operators without an n_buckets parameter)."""
+    with mock.patch("json_remedy_ray.state.partitioning.default_n_buckets",
+                    lambda: nb), \
+         mock.patch("json_remedy_ray.functions.queries.default_n_buckets",
+                    lambda: nb), \
+         mock.patch("json_remedy_ray.stages.similarity.default_n_buckets",
+                    lambda: nb):
+        yield
+
+
+def _frame(ds, nb: int) -> pd.DataFrame:
+    """The output as a frame, after checking that the exchange ran at
+    ``nb`` buckets (one reduce block per bucket)."""
+    import ray
+
+    tables = ray.get(ds.to_arrow_refs())
+    assert len(tables) == nb
+    return pa.concat_tables(tables).to_pandas()
+
+
+def _embeddings() -> pa.Table:
+    """Gaussian vectors plus ten near-copies (cosine ~1 to their source)."""
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=(30, 8))
+    vecs = np.vstack([base, base[:10] + rng.normal(scale=1e-3, size=(10, 8))])
+    return pa.table({"vec_id": pa.array(np.arange(40), pa.int64()),
+                     "embedding": pa.array(list(vecs),
+                                           pa.list_(pa.float64()))})
+
+
+def _line_dedup_fallback(nb):
+    from json_remedy_ray.stages.dedup import line_dedup
+
+    return line_dedup(_ds(_corpus()), n_buckets=nb,
+                      broadcast_max=-1).to_pandas()
+
+
+def _crossdoc_span_dedup_fallback(nb):
+    from json_remedy_ray.stages.dedup import crossdoc_span_dedup
+
+    return crossdoc_span_dedup(_ds(_corpus()), n=4, n_buckets=nb,
+                               broadcast_max=-1).to_pandas()
+
+
+def _filter_pipeline_fallback(nb):
+    from json_remedy_ray.functions.queries import filter_pipeline_documents
+
+    with tempfile.TemporaryDirectory() as d, _default_buckets(nb):
+        pq.write_table(_corpus(), f"{d}/documents.parquet")
+        return _frame(filter_pipeline_documents(d, broadcast_max=-1), nb)
+
+
+def _simhash_dedup_pairs(nb):
+    from json_remedy_ray.stages.dedup import simhash_dedup_pairs
+
+    with _default_buckets(nb):
+        return _frame(simhash_dedup_pairs(_ds(_corpus())), nb)
+
+
+def _embedding_neardup_pairs(nb):
+    from json_remedy_ray.stages.similarity import embedding_neardup_pairs
+
+    with _default_buckets(nb):
+        return _frame(embedding_neardup_pairs(_ds(_embeddings())), nb)
+
+
+def _stratified_sample_k(nb):
+    from json_remedy_ray.stages.sampling import stratified_sample_k
+
+    with _default_buckets(nb):
+        return _frame(stratified_sample_k(_ds(_corpus()), k=5), nb)
+
+
 _OPERATORS = [_line_dedup, _crossdoc_span_dedup, _crossdoc_ngram_stats,
               _minhash_dedup_pairs, _count_distinct_exact_exchange,
-              _global_rank, _hash_join, _pagerank_refs]
+              _global_rank, _hash_join, _pagerank_refs,
+              _line_dedup_fallback, _crossdoc_span_dedup_fallback,
+              _filter_pipeline_fallback, _simhash_dedup_pairs,
+              _embedding_neardup_pairs, _stratified_sample_k]
 
 
 @pytest.mark.parametrize("op", _OPERATORS, ids=lambda f: f.__name__[1:])
@@ -254,3 +337,165 @@ def test_bucket_count_invariance_dedup_rate_by_source(ray_session,
     five = dedup_rate_by_source(str(tmp_path), n_buckets=5)
     assert (one["n_docs"] > one["n_distinct"]).any()
     pd.testing.assert_frame_equal(one, five)
+
+
+# ------------------------------------------------- schema-stable outputs
+
+_LARGE = pa.schema([("doc_id", pa.int64()), ("text", pa.large_string())])
+
+
+def _blocks_of(ds) -> list[pa.Table]:
+    import ray
+
+    return ray.get(ds.to_arrow_refs())
+
+
+def _assert_one_schema(tables: list[pa.Table], schema: pa.Schema):
+    assert tables
+    for t in tables:
+        assert t.num_columns, "column-less block"
+        assert t.schema.equals(schema), (t.schema, schema)
+
+
+def test_line_dedup_fallback_schema_matches_broadcast(ray_session):
+    """A large_string corpus keeps large_string text on both routing
+    paths, in every block; the fallback's blocks keep it on a zero-row
+    corpus too."""
+    from json_remedy_ray.stages.dedup import line_dedup
+
+    c = _corpus()
+    tbl = pa.table({"doc_id": c["doc_id"],
+                    "text": c["text"].cast(pa.large_string())})
+    bc = _blocks_of(line_dedup(_ds(tbl)))
+    schema = bc[0].schema
+    assert schema.field("text_dedup").type == pa.large_string()
+    _assert_one_schema(bc, schema)
+    import ray.data as rd
+
+    for src in (_ds(tbl), rd.from_arrow(_LARGE.empty_table())):
+        fb = line_dedup(src, n_buckets=5, broadcast_max=-1)
+        _assert_one_schema(_blocks_of(fb), schema)
+
+
+def test_crossdoc_span_dedup_fallback_schema(ray_session):
+    from json_remedy_ray.stages.dedup import crossdoc_span_dedup
+
+    bc = _blocks_of(crossdoc_span_dedup(_ds(_corpus()), n=4))
+    schema = bc[0].schema
+    _assert_one_schema(bc, schema)
+    for src in (_ds(_corpus()), _ds(_LARGE.empty_table(), 1)):
+        _assert_one_schema(_blocks_of(crossdoc_span_dedup(
+            src, n=4, n_buckets=5, broadcast_max=-1)), schema)
+
+
+def test_filter_pipeline_fallback_schema(ray_session, tmp_path):
+    from json_remedy_ray.functions.queries import filter_pipeline_documents
+
+    pq.write_table(_corpus(), tmp_path / "documents.parquet")
+    bc = _blocks_of(filter_pipeline_documents(str(tmp_path)))
+    schema = bc[0].schema
+    _assert_one_schema(bc, schema)
+    _assert_one_schema(_blocks_of(filter_pipeline_documents(
+        str(tmp_path), broadcast_max=-1)), schema)
+
+
+def test_simhash_pairs_schema_without_pairs(ray_session):
+    import ray.data as rd
+
+    from json_remedy_ray.stages.dedup import simhash_dedup_pairs
+
+    want = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
+                      ("hamming", pa.int64())])
+    none = rd.from_items([{"doc_id": 1, "text": "a b c"},
+                          {"doc_id": 2, "text": "zzz yyy qqq ppp"}])
+    _assert_one_schema(_blocks_of(simhash_dedup_pairs(none)), want)
+    _assert_one_schema(_blocks_of(simhash_dedup_pairs(_ds(_corpus()))), want)
+
+
+def test_embedding_pairs_schema(ray_session):
+    from json_remedy_ray.stages.similarity import embedding_neardup_pairs
+
+    want = pa.schema([("vec_a", pa.int64()), ("vec_b", pa.int64()),
+                      ("cosine", pa.float64())])
+    some = _blocks_of(embedding_neardup_pairs(_ds(_embeddings())))
+    assert sum(t.num_rows for t in some) >= 10
+    _assert_one_schema(some, want)
+    none = _blocks_of(embedding_neardup_pairs(_ds(_embeddings().slice(0, 30)),
+                                              threshold=0.9999))
+    assert sum(t.num_rows for t in none) == 0
+    _assert_one_schema(none, want)
+
+
+def test_stratified_sample_k_schema(ray_session):
+    from json_remedy_ray.stages.sampling import stratified_sample_k
+
+    want = pa.schema([("stratum", pa.string()), ("id", pa.int64()),
+                      ("sample_rank", pa.int64())])
+    blocks = _blocks_of(stratified_sample_k(_ds(_corpus()), k=5))
+    assert sum(t.num_rows for t in blocks) == 15        # 3 strata x 5
+    _assert_one_schema(blocks, want)
+
+
+def test_knn_bruteforce_frame_dtypes(ray_session, tmp_path):
+    from json_remedy_ray.functions.queries import knn_bruteforce
+
+    pq.write_table(_embeddings(), tmp_path / "embeddings.parquet")
+    out = knn_bruteforce(str(tmp_path))
+    assert list(out.columns) == ["query_id", "neighbor_id", "rank"]
+    assert (out.dtypes == np.int64).all()
+    assert out.groupby("query_id")["rank"].apply(list).map(
+        lambda r: r == list(range(1, 11))).all()
+
+
+# -------------------------------------- forced fallbacks take join_exchange
+
+def _run_line_dedup(bm):
+    from json_remedy_ray.stages.dedup import line_dedup
+
+    return line_dedup(_ds(_corpus()), n_buckets=3, broadcast_max=bm).count()
+
+
+def _run_crossdoc_span_dedup(bm):
+    from json_remedy_ray.stages.dedup import crossdoc_span_dedup
+
+    return crossdoc_span_dedup(_ds(_corpus()), n=4, n_buckets=3,
+                               broadcast_max=bm).count()
+
+
+def _run_filter_pipeline(bm):
+    from json_remedy_ray.functions.queries import filter_pipeline_documents
+
+    with tempfile.TemporaryDirectory() as d:
+        pq.write_table(_corpus(), f"{d}/documents.parquet")
+        return filter_pipeline_documents(d, broadcast_max=bm).count()
+
+
+@pytest.mark.parametrize("run", [_run_line_dedup, _run_crossdoc_span_dedup,
+                                 _run_filter_pipeline],
+                         ids=lambda f: f.__name__[5:])
+def test_forced_fallback_calls_join_exchange(ray_session, monkeypatch, run):
+    from json_remedy_ray.state import partitioning
+
+    calls = []
+    real = partitioning.join_exchange
+
+    def spy(*args, **kwargs):
+        calls.append(args[2])                 # n_buckets
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(partitioning, "join_exchange", spy)
+    assert run(1 << 25) == 48 and calls == []   # broadcast path
+    assert run(-1) == 48 and len(calls) == 1    # forced cogroup
+
+
+def test_no_dataset_map_groups_in_library():
+    """The bucket exchange is the library's one keyed shuffle: no module
+    may go back to Ray's Dataset.groupby().map_groups sort-shuffle."""
+    import pathlib
+
+    import json_remedy_ray
+
+    root = pathlib.Path(json_remedy_ray.__file__).parent
+    hits = [str(f.relative_to(root)) for f in sorted(root.rglob("*.py"))
+            if "map_groups(" in f.read_text(encoding="utf-8")]
+    assert hits == []
