@@ -348,10 +348,7 @@ def run_bench() -> dict:
                 pa.int64()).to_numpy(zero_copy_only=False)
         page = did % 100_000_000
         h = _mix64(page.astype(np.uint64))
-        col = tbl["text"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        content = hash_strings(col).view(np.int64)
+        content = hash_strings(tbl["text"]).view(np.int64)
         t = pa.table({"h": pa.array(h.view(np.int64)),
                       "page": pa.array(page, type=pa.int64()),
                       "fetch_id": pa.array(did, type=pa.int64()),

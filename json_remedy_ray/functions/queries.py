@@ -74,11 +74,13 @@ ORACLE_NOTES: dict[str, str] = {
         " perplexity_documents_sql fully oracles",
 }
 
+from json_remedy_ray.functions.vhash import as_array
 from json_remedy_ray.stages.heuristics import STOPWORDS, heuristics_batch
 from json_remedy_ray.stages.langid import LangIdScorer
 from json_remedy_ray.stages.perplexity import PerplexityScorer
 from json_remedy_ray.stages.repair_stage import make_repair_fn
 from json_remedy_ray.stages.scrub import scrub_batch
+from json_remedy_ray.stages.textstats import ws_split
 from json_remedy_ray.state.partitioning import bucket_exchange, default_n_buckets
 
 
@@ -88,9 +90,7 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None) -> rd.Datas
 
 def _col_np(batch: pa.Table, col: str) -> np.ndarray:
     """int64 numpy view of a column (combining chunks as needed)."""
-    c = batch[col].cast(pa.int64())
-    return (c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
-            ).to_numpy(zero_copy_only=False)
+    return as_array(batch[col].cast(pa.int64())).to_numpy(zero_copy_only=False)
 
 
 def _partial_agg(ds: rd.Dataset, partial_fn, keys: list[str], aggs: dict[str, str],
@@ -343,9 +343,7 @@ def _dedup_min_id_exchange(ds, text_col: str):
         # block-local combiner: one candidate per distinct doc per block
         g = (tbl.group_by([text_col]).aggregate([("doc_id", "min")])
              .rename_columns([text_col, "doc_id"]))
-        col = g[text_col]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
+        col = as_array(g[text_col])
         h = hash_strings(col)
         t = pa.table({"h": pa.array(h.view(np.int64)), text_col: col,
                       "doc_id": g["doc_id"].cast(pa.int64())})
@@ -380,9 +378,7 @@ def normalized_dedup_text(sf_dir: str):
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def norm(batch: pa.Table) -> pa.Table:
-        col = batch["text"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
+        col = as_array(batch["text"])
         n = pc.utf8_trim_whitespace(pc.replace_substring_regex(
             pc.replace_substring_regex(
                 pc.utf8_lower(pc.fill_null(col, "")),
@@ -653,8 +649,8 @@ def refetch_priority(sf_dir: str):
     assert ranks_tbl.num_rows <= broadcast_max, (
         "host universe exceeds the broadcast bound — route the join "
         "through join_exchange keyed on host hash instead")
-    ranks_ref = _ray.put((ranks_tbl["host"].combine_chunks(),
-                          ranks_tbl["rank_micro"].combine_chunks()))
+    ranks_ref = _ray.put((as_array(ranks_tbl["host"]),
+                          as_array(ranks_tbl["rank_micro"])))
 
     cd = crawl_delta_per_url(sf_dir, with_latest=True)
 
@@ -665,9 +661,7 @@ def refetch_priority(sf_dir: str):
                       ("priority_micro", pa.int64())])
 
     def prio(batch: pa.Table) -> pa.Table:
-        last = batch["is_latest"]
-        if isinstance(last, pa.ChunkedArray):
-            last = last.combine_chunks()
+        last = as_array(batch["is_latest"])
         batch = batch.filter(last)
         if batch.num_rows == 0:
             return _OUT.empty_table()
@@ -680,9 +674,7 @@ def refetch_priority(sf_dir: str):
         idx = pc.index_in(host, value_set=hosts_v)
         assert idx.null_count == 0, "url host missing from rank table"
         rank = ranks_v.take(idx).to_numpy(zero_copy_only=False).astype(np.int64)
-        st = batch["status"]
-        if isinstance(st, pa.ChunkedArray):
-            st = st.combine_chunks()
+        st = as_array(batch["status"])
         boost = np.where(
             pc.equal(st, "new").to_numpy(zero_copy_only=False), 3_000_000,
             np.where(pc.equal(st, "changed").to_numpy(zero_copy_only=False),
@@ -740,7 +732,7 @@ def dedup_rate_by_source(sf_dir: str, n_buckets: int = 32):
         return enc.dictionary, codes, order, first
 
     def part(tbl: pa.Table):
-        src = tbl["source"].cast(pa.string()).combine_chunks()
+        src = as_array(tbl["source"].cast(pa.string()))
         h = hash_strings(pc.fill_null(tbl["text"], "").cast(pa.string()))
         _, _, order, first = distinct_pairs(src, h)
         heads = np.nonzero(first)[0]
@@ -936,7 +928,7 @@ def epoch_expand_documents(sf_dir: str, budget_mult: int = 3,
 
     def _src_arrays(batch: pa.Table):
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src_col = batch["source"].cast(pa.string()).combine_chunks()
+        src_col = as_array(batch["source"].cast(pa.string()))
         enc = pc.dictionary_encode(src_col, null_encoding="encode")
         codes = enc.indices.to_numpy(zero_copy_only=False)
         uniq = enc.dictionary.to_pylist()
@@ -1072,9 +1064,7 @@ def badwords_filter_documents(sf_dir: str):
 
     def f(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        col = batch["text"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
+        col = as_array(batch["text"])
         suf = np.where(ids % 11 == 0, " " + _BADWORDS[0], "")
         suf2 = np.where(ids % 33 == 0,
                         f" {_BADWORDS[1]} {_BADWORDS[2]}", "")
@@ -1083,9 +1073,7 @@ def badwords_filter_documents(sf_dir: str):
             pa.array(suf.astype(object), type=col.type),
             pa.array(suf2.astype(object), type=col.type),
             pa.scalar("", type=col.type))
-        toks = pc.utf8_split_whitespace(pc.utf8_lower(planted))
-        flat = pc.list_flatten(toks)
-        parents = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
+        flat, parents = ws_split(pc.utf8_lower(planted))
         hit = pc.is_in(flat, value_set=bw_arr).to_numpy(zero_copy_only=False)
         n_bad = np.bincount(parents[hit], minlength=len(batch)).astype(np.int64)
         return pa.table({
@@ -1210,9 +1198,7 @@ def gopher_ngram_repetition_documents(sf_dir: str):
 
     def plant(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        col = batch["text"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
+        col = as_array(batch["text"])
         suf = pa.array(np.where(ids % 9 == 0, _GOPHER_REP_PHRASE,
                                 "").astype(object), type=col.type)
         sep = pa.scalar("", type=col.type)
@@ -1302,6 +1288,7 @@ def filter_pipeline_documents(sf_dir: str, broadcast_max: int = 1 << 25):
     from json_remedy_ray.state.partitioning import (
         hash_key,
         join_exchange,
+        map_blocks,
         merge_sorted,
     )
 
@@ -1310,9 +1297,7 @@ def filter_pipeline_documents(sf_dir: str, broadcast_max: int = 1 << 25):
 
     def plant(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        col = batch["text"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
+        col = as_array(batch["text"])
         suf_bw = np.where(ids % 11 == 0, " " + _BADWORDS[0], "")
         suf_rep = np.where(ids % 4 == 0, _SHARED_BOILERPLATE * 4, "")
         base = pc.binary_join_element_wise(
@@ -1337,8 +1322,7 @@ def filter_pipeline_documents(sf_dir: str, broadcast_max: int = 1 << 25):
     _DROP_SCHEMA = pa.schema([("doc_id", pa.int64())])
 
     def part(tbl: pa.Table):
-        col = tbl["text"].combine_chunks() if isinstance(
-            tbl["text"], pa.ChunkedArray) else tbl["text"]
+        col = as_array(tbl["text"])
         h = hash_strings(col)
         return h, pa.table({"h": pa.array(h.view(np.int64)),
                             "doc_id": tbl["doc_id"], "text": col})
@@ -1424,8 +1408,7 @@ def filter_pipeline_documents(sf_dir: str, broadcast_max: int = 1 << 25):
             (drop_ids,) = ray.get(drop_ref)
             return decide_core(batch, dup_mask(ids, drop_ids))
 
-        return planted.map_batches(decide, batch_format="pyarrow",
-                                   batch_size=None)
+        return map_blocks(planted, decide, _OUT_SCHEMA)
 
     # ---- pathological drop set: doc_id-keyed cogroup ----------------
     # docs and drop ids co-locate through one join_exchange keyed by
@@ -1492,9 +1475,7 @@ def nfc_normalize_documents(sf_dir: str):
 
     def plant(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        col = batch["text"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
+        col = as_array(batch["text"])
         suf = pa.array(np.where(ids % 6 == 0, " cafe\u0301",
                                 "").astype(object), type=col.type)
         return pa.table({"doc_id": batch["doc_id"],
@@ -1565,9 +1546,7 @@ def _webify_batch(batch: pa.Table) -> pa.Table:
     and DuckDB replace: left-to-right, non-overlapping) plus two
     doc_id-keyed poison suffixes; the DuckDB oracles apply the exact
     same expressions, so the construction cancels out of the compare."""
-    col = batch["text"]
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
+    col = as_array(batch["text"])
     if col.null_count:
         col = pc.fill_null(col, "")
     t = pc.replace_substring(col, pattern=" merge ", replacement=".\n")
@@ -2029,8 +2008,8 @@ def pagerank_doc_prior(sf_dir: str):
     assert ranks_tbl.num_rows <= broadcast_max, (
         "host universe exceeds the broadcast bound — route the doc join "
         "through join_exchange keyed on host hash instead")
-    ranks_ref = _ray.put((ranks_tbl["host"].combine_chunks(),
-                          ranks_tbl["rank_micro"].combine_chunks()))
+    ranks_ref = _ray.put((as_array(ranks_tbl["host"]),
+                          as_array(ranks_tbl["rank_micro"])))
 
     ds = _read(sf_dir, "documents", columns=["doc_id"])
 
@@ -2170,7 +2149,7 @@ def webpipeline_documents(sf_dir: str):
         """min-doc_id row per (hash, effective_url), payload attached."""
         h = tbl["h"].to_numpy(zero_copy_only=False).view(np.uint64)
         ids = tbl["doc_id"].to_numpy(zero_copy_only=False)
-        urls = tbl["effective_url"].combine_chunks()
+        urls = as_array(tbl["effective_url"])
         order, _, dup = first_occurrence_dups(
             h, urls, ids, np.zeros(len(ids), dtype=np.int64))
         keep_idx = pa.array(order[~dup])
@@ -2240,9 +2219,7 @@ def webpipeline_documents(sf_dir: str):
                       "extracted": extracted,
                       "n_words": pa.array(n_words, type=pa.int64())}
                      ).filter(pa.array(keep))
-        ucol = t["effective_url"]
-        if isinstance(ucol, pa.ChunkedArray):
-            ucol = ucol.combine_chunks()
+        ucol = as_array(t["effective_url"])
         h = hash_strings(ucol)
         t = pa.table({"h": pa.array(h.view(np.int64)),
                       "effective_url": ucol,
@@ -2437,17 +2414,8 @@ def docs_tokens_exploded(sf_dir: str):
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def f(batch: pa.Table) -> pa.Table:
-        col = batch["text"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        if col.null_count:
-            col = pc.fill_null(col, "")
-        toks = pc.utf8_split_whitespace(col)
-        flat = pc.list_flatten(toks)
-        parents = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
-        nonempty = pc.utf8_length(flat).to_numpy(zero_copy_only=False) > 0
-        flat = flat.filter(pa.array(nonempty))
-        ids = _col_np(batch, "doc_id")[parents[nonempty]]
+        flat, parents = ws_split(batch["text"])
+        ids = _col_np(batch, "doc_id")[parents]
         return pa.table({"doc_id": pa.array(ids, type=pa.int64()),
                          "token": flat})
 
@@ -2481,8 +2449,7 @@ def _wrap_lines(col) -> pa.Array:
     """The shared 8-token RE2 line-wrap construction — ONE definition
     used by both line-operator preps, byte-identical to the
     regexp_replace expression in their DuckDB oracles."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
+    col = as_array(col)
     return pc.replace_substring_regex(
         pc.fill_null(col, ""), pattern=_LINE_WRAP_RE, replacement="\\1\n")
 
@@ -2550,9 +2517,7 @@ def paragraph_dedup_documents(sf_dir: str):
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def wrap(batch: pa.Table) -> pa.Table:
-        col = batch["text"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
+        col = as_array(batch["text"])
         wrapped = pc.replace_substring_regex(
             pc.fill_null(col, ""), pattern=_PARA_WRAP_RE,
             replacement="\\1\n\n")
@@ -2693,17 +2658,7 @@ def vocab_oov_rate(sf_dir: str, min_count: int = 5):
 
     def probe(batch: pa.Table) -> pa.Table:
         vset = _ray.get(vocab_ref)
-        col = batch["text"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        toks = pc.utf8_split_whitespace(
-            pc.utf8_lower(pc.fill_null(col, "")))
-        flat = pc.list_flatten(toks)
-        parents = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
-        keep = pc.greater(pc.utf8_length(flat),
-                          0).to_numpy(zero_copy_only=False)
-        parents = parents[keep]
-        flat = flat.filter(pa.array(keep))
+        flat, parents = ws_split(pc.utf8_lower(batch["text"]))
         oov = pc.invert(pc.is_in(flat, value_set=vset)).to_numpy(
             zero_copy_only=False)
         n_tok = np.bincount(parents, minlength=len(batch)).astype(np.int64)
@@ -2733,17 +2688,7 @@ def chunk_batch(batch: pa.Table, window: int = 32,
     property test can drive it directly against a scalar reference:
     chunk i of a doc covers tokens [i*stride, i*stride + window)."""
     w, s = int(window), int(stride)
-    col = batch["text"]
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    toks = pc.utf8_split_whitespace(
-        pc.fill_null(col, ""))
-    flat = pc.list_flatten(toks)
-    parents = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
-    keep = pc.greater(pc.utf8_length(flat),
-                      0).to_numpy(zero_copy_only=False)
-    flat = flat.filter(pa.array(keep))
-    parents = parents[keep]
+    flat, parents = ws_split(batch["text"])
     n_tok = np.bincount(parents, minlength=len(batch)).astype(np.int64)
     doc_offs = np.concatenate(([0], np.cumsum(n_tok)))
     ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -2827,16 +2772,7 @@ def top_bigrams_pmi(sf_dir: str, k: int = 20, min_count: int = 5):
                          "cnt": pa.array(cnts, type=pa.int64())})
 
     def bi_partial(batch: pa.Table) -> pa.Table:
-        col = batch["text"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        toks = pc.utf8_split_whitespace(
-            pc.utf8_lower(pc.fill_null(col, "")))
-        flat = pc.list_flatten(toks)
-        parents = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
-        keep = pc.greater(pc.utf8_length(flat),
-                          0).to_numpy(zero_copy_only=False)
-        flat, parents = flat.filter(pa.array(keep)), parents[keep]
+        flat, parents = ws_split(pc.utf8_lower(batch["text"]))
         if len(parents) < 2:
             return pa.table({"a": pa.array([], type=pa.string()),
                              "b": pa.array([], type=pa.string()),
@@ -2905,18 +2841,9 @@ def tfidf_topk_terms(sf_dir: str, k: int = 5):
     ds = ds.materialize()   # one read, two passes
 
     def _doc_tokens(batch: pa.Table):
-        """(doc_id repeated per token, token) — lowered whitespace split,
-        empties dropped; one Arrow split + flatten, no per-row Python."""
-        col = batch["text"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        toks = pc.utf8_split_whitespace(pc.utf8_lower(pc.fill_null(col, "")))
-        flat = pc.list_flatten(toks)
-        parents = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
-        keep = pc.greater(pc.utf8_length(flat), 0).to_numpy(
-            zero_copy_only=False)
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)[parents[keep]]
-        return ids, flat.filter(pa.array(keep))
+        """(doc_id repeated per token, lowered whitespace token)."""
+        flat, parents = ws_split(pc.utf8_lower(batch["text"]))
+        return batch["doc_id"].to_numpy(zero_copy_only=False)[parents], flat
 
     def df_partial(batch: pa.Table) -> pa.Table:
         ids, flat = _doc_tokens(batch)
@@ -2977,9 +2904,7 @@ def _crossdoc_plant(batch: pa.Table) -> pa.Table:
     """Append the shared boilerplate to every 4th doc; suffix/separator
     types follow the text type so large_string corpora work."""
     ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-    col = batch["text"]
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
+    col = as_array(batch["text"])
     suf = pa.array(np.where(ids % 4 == 0, _SHARED_BOILERPLATE,
                             "").astype(object), type=col.type)
     return pa.table({"doc_id": batch["doc_id"],
@@ -3272,9 +3197,7 @@ def ppl_buckets_by_source(sf_dir: str):
         th[s] = (t1, t2)
 
     def label(batch: pa.Table) -> pa.Table:
-        src_col = batch["source"]
-        if isinstance(src_col, pa.ChunkedArray):
-            src_col = src_col.combine_chunks()
+        src_col = as_array(batch["source"])
         enc = pc.dictionary_encode(src_col)
         codes = enc.indices.to_numpy(zero_copy_only=False)
         uniq = enc.dictionary.to_pylist()
@@ -3315,15 +3238,11 @@ def nb_source_classifier(sf_dir: str):
     self-contained SQL oracle: counts, smoothing, quantization, argmax
     (ROW_NUMBER ORDER BY score DESC, cls ASC) recomputed from the raw
     table."""
-    from json_remedy_ray.stages.dsir import _doc_tokens
-
     ds = _read(sf_dir, "documents", columns=["doc_id", "source", "text"])
 
     def tok_partial(batch: pa.Table) -> pa.Table:
-        flat, parents = _doc_tokens(batch["text"])
-        src = batch["source"]
-        if isinstance(src, pa.ChunkedArray):
-            src = src.combine_chunks()
+        flat, parents = ws_split(pc.utf8_lower(batch["text"]))
+        src = as_array(batch["source"])
         t = pa.table({"token": flat, "source": src.take(pa.array(parents)),
                       "c": pa.array(np.ones(len(parents), dtype=np.int64))})
         g = t.group_by(["token", "source"]).aggregate([("c", "sum")])
@@ -3368,7 +3287,7 @@ def nb_source_classifier(sf_dir: str):
     def score(batch: pa.Table) -> pa.Table:
         vocab_v, w_ext, classes_v, pr = ray.get(model_ref)
         n = batch.num_rows
-        flat, parents = _doc_tokens(batch["text"])
+        flat, parents = ws_split(pc.utf8_lower(batch["text"]))
         scores = np.tile(pr, (n, 1))
         if len(flat):
             idx = pc.fill_null(pc.index_in(flat, value_set=vocab_v),
@@ -3376,9 +3295,7 @@ def nb_source_classifier(sf_dir: str):
                                    zero_copy_only=False)
             np.add.at(scores, parents, w_ext[idx])
         pred = np.argmax(scores, axis=1)
-        src = batch["source"]
-        if isinstance(src, pa.ChunkedArray):
-            src = src.combine_chunks()
+        src = as_array(batch["source"])
         predicted = classes_v.take(pa.array(pred))
         return pa.table({
             "doc_id": batch["doc_id"], "source": src,
@@ -3408,9 +3325,7 @@ def corpus_datacard(sf_dir: str):
 
     def scalars(batch: pa.Table) -> pa.Table:
         toks = ws_token_counts_batch(batch["text"])
-        col = batch["text"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
+        col = as_array(batch["text"])
         chars = pc.utf8_length(pc.fill_null(col, "")).to_numpy(
             zero_copy_only=False)
         return pa.table({
@@ -3606,9 +3521,7 @@ def split_train_val_documents(sf_dir: str):
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def assign(batch: pa.Table) -> pa.Table:
-        col = batch["text"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
+        col = as_array(batch["text"])
         if col.null_count:
             col = pc.fill_null(col, "")
         from json_remedy_ray.functions.vhash import string_view
@@ -3653,9 +3566,7 @@ def incremental_dedup_documents(sf_dir: str):
 
     def part(tbl: pa.Table):
         ids = tbl["doc_id"].to_numpy(zero_copy_only=False)
-        col = tbl["text"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
+        col = as_array(tbl["text"])
         h = hash_strings(col)
         t = tbl.append_column(
             "content_hash", pa.array(h.view(np.int64), type=pa.int64()))
@@ -3713,13 +3624,10 @@ def incremental_dedup_bloom(sf_dir: str):
     def part(tbl: pa.Table):
         ids = tbl["doc_id"].to_numpy(zero_copy_only=False)
         t = tbl.filter(pa.array(ids % 3 != 0))
-        col = t["text"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
+        col = as_array(t["text"])
         hit = bloom_contains(ray.get(bm_ref), col, m_bits)
         t = t.filter(pa.array(~hit))
-        col = t["text"].combine_chunks() if isinstance(t["text"], pa.ChunkedArray) else t["text"]
-        h = hash_strings(col)
+        h = hash_strings(t["text"])
         return h, t.append_column("content_hash",
                                   pa.array(h.view(np.int64), type=pa.int64()))
 
@@ -3897,7 +3805,7 @@ def events_sliding_windows(sf_dir: str):
         n = len(batch)
         # cast to a FIXED unit first so the hour-offset arithmetic cannot
         # silently break if the parquet ever carries ns timestamps
-        ts_us = batch["ts"].combine_chunks().cast(pa.timestamp("us"))
+        ts_us = as_array(batch["ts"]).cast(pa.timestamp("us"))
         hour = pc.floor_temporal(ts_us, unit="hour")
         v100 = pc.cast(pc.round(pc.multiply(batch["value"], pa.scalar(100.0)), round_mode=_HALF_AWAY), pa.int64())
         # event at hour h is inside windows starting h, h-1, ..., h-(k-1)
@@ -3905,9 +3813,9 @@ def events_sliding_windows(sf_dir: str):
         offs = np.repeat(np.arange(k, dtype=np.int64) * 3_600_000_000, n)
         starts = np.tile(hour_us, k) - offs
         t = pa.table({
-            "event_type": pa.concat_arrays([batch["event_type"].combine_chunks()] * k),
+            "event_type": pa.concat_arrays([as_array(batch["event_type"])] * k),
             "window_start": pa.array(starts).cast(hour.type),
-            "v100": pa.concat_arrays([v100.combine_chunks() if isinstance(v100, pa.ChunkedArray) else v100] * k),
+            "v100": pa.concat_arrays([as_array(v100)] * k),
         })
         g = t.group_by(["event_type", "window_start"]).aggregate(
             [("v100", "count"), ("v100", "sum")]
@@ -4482,15 +4390,9 @@ def heuristic_wordcount_filter(sf_dir: str):
         # tokenizer per row): one whitespace split feeds both counts.
         # NOTE no edge-punct trim here — the rule (and its oracle) is
         # lower(token) IN stopwords, unlike the heuristics stage.
-        col = batch["text"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        n = len(col)
-        toks = pc.utf8_split_whitespace(col)
-        flat = pc.list_flatten(toks)
-        parents = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
-        flat_lens = pc.utf8_length(flat).to_numpy(zero_copy_only=False)
-        wc = np.bincount(parents[flat_lens > 0], minlength=n).astype(np.int64)
+        n = batch.num_rows
+        flat, parents = ws_split(batch["text"])
+        wc = np.bincount(parents, minlength=n).astype(np.int64)
         hits = pc.is_in(pc.utf8_lower(flat), value_set=sw_arr).to_numpy(zero_copy_only=False)
         sw = np.bincount(parents[hits], minlength=n).astype(np.int64)
         return pa.table({
@@ -4543,7 +4445,7 @@ def langid_documents_sql(sf_dir: str):
 
     def f(batch: pa.Table) -> pa.Table:
         scored = scorer(batch)  # adds lang_pred (vectorized argmax)
-        col = batch["text"].combine_chunks() if batch["text"].num_chunks != 1 else batch["text"]
+        col = as_array(batch["text"])
         n_words = pc.count_substring_regex(col, r"[\pL]+")
         # per-language hit counts, recomputed the oracle-matching way
         tokens_list = pc.split_pattern_regex(col, r"[^\pL]+")
@@ -4585,12 +4487,8 @@ def lang_mismatch_by_source(sf_dir: str):
 
     def f(batch: pa.Table) -> pa.Table:
         scored = scorer(batch)
-        pred = scored["lang_pred"]
-        if isinstance(pred, pa.ChunkedArray):
-            pred = pred.combine_chunks()
-        lang = pc.fill_null(batch["lang"], "").cast(pa.string())
-        if isinstance(lang, pa.ChunkedArray):
-            lang = lang.combine_chunks()
+        pred = as_array(scored["lang_pred"])
+        lang = as_array(pc.fill_null(batch["lang"], "").cast(pa.string()))
         mism = pc.not_equal(pred, lang).to_numpy(
             zero_copy_only=False).astype(np.int64)
         t = pa.table({"source": batch["source"],
@@ -4741,9 +4639,7 @@ def _pack_chunked(read_fn, budget: int, chunk_rows: int,
         # per block is measurably slower at this row count)
         x = _col_np(batch, "doc_id").view(np.uint64) ^ _SIGN
         hb = (x >> np.uint64(52)).astype(np.int64)
-        src = batch["source"]
-        if isinstance(src, pa.ChunkedArray):
-            src = src.combine_chunks()
+        src = as_array(batch["source"])
         enc = src.dictionary_encode()
         codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
         nsrc = len(enc.dictionary)
@@ -4930,9 +4826,7 @@ def _pack_chunked(read_fn, budget: int, chunk_rows: int,
         newbin[1:] = bin_id[1:] != bin_id[:-1]
         seg = np.nonzero(newbin)[0]
         offs = np.concatenate((seg, [n])).astype(np.int64)
-        text_arr = tbl["text"].combine_chunks() if isinstance(
-            tbl["text"], pa.ChunkedArray) else tbl["text"]
-        text_arr = text_arr.cast(pa.large_string())
+        text_arr = as_array(tbl["text"]).cast(pa.large_string())
         lst = pa.LargeListArray.from_arrays(pa.array(offs, type=pa.int64()),
                                             text_arr)
         packed = pc.binary_join(lst, pa.scalar("\n", type=pa.large_string()))
@@ -5061,8 +4955,7 @@ def pack_sequences_bpe_concat(sf_dir: str, budget: int = 256,
     def sep_counts(col) -> np.ndarray:
         # token count of a sep-joined stream: 0 for the empty stream,
         # else separators + 1
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
+        col = as_array(col)
         lens = pc.utf8_length(col).to_numpy(zero_copy_only=False)
         cnt = pc.add(pc.count_substring(col, _BPE_SEP),
                      1).to_numpy(zero_copy_only=False)
@@ -5295,16 +5188,11 @@ def events_session_windows(sf_dir: str, gap_minutes: int = 30,
         salt = np.zeros(len(batch), dtype=np.int64)
         hot_arr = ray.get(hot_ref)
         if len(hot_arr):
-            keys = batch["user_id"].cast(pa.int64())
-            k = (keys.combine_chunks() if isinstance(keys, pa.ChunkedArray) else keys
-                 ).to_numpy(zero_copy_only=False)
-            m = np.isin(k, hot_arr)
+            m = np.isin(_col_np(batch, "user_id"), hot_arr)
             if m.any():
                 ts_us = pc.fill_null(
                     batch["ts"].cast(pa.timestamp("us")).cast(pa.int64()), 0)
-                t = (ts_us.combine_chunks() if isinstance(ts_us, pa.ChunkedArray) else ts_us
-                     ).to_numpy(zero_copy_only=False)
-                salt[m] = t[m] // bucket_us
+                salt[m] = as_array(ts_us).to_numpy(zero_copy_only=False)[m] // bucket_us
         return batch.append_column("salt", pa.array(salt))
 
     # Both phases run through the raw-task bucket exchange (not
@@ -5489,7 +5377,7 @@ def distinct_users_by_type(sf_dir: str):
         g = tbl.group_by(["event_type", "user_id"]).aggregate([])
         u = (pc.fill_null(g["user_id"], 0).to_numpy(zero_copy_only=False)
              .astype(np.int64).view(np.uint64))
-        th = hash_strings(g["event_type"].combine_chunks())
+        th = hash_strings(g["event_type"])
         return _mix64(th ^ _mix64(u)), g
 
     def reduce_count(t: pa.Table) -> pa.Table:
@@ -5729,9 +5617,7 @@ def compression_ratio_documents(sf_dir: str):
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def f(batch: pa.Table) -> pa.Table:
-        col = batch["text"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
+        col = as_array(batch["text"])
         raw = [(t or "").encode() for t in col.to_pylist()]
         comp = np.array([len(zlib.compress(b, 6)) for b in raw],
                         dtype=np.int64)
@@ -5865,9 +5751,7 @@ def winnow_planted_recovery(sf_dir: str, n_buckets: int = 32,
     _PAIRS = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64())])
 
     def part(tbl: pa.Table):
-        col = tbl["text"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
+        col = as_array(tbl["text"])
         if col.null_count:
             col = pc.fill_null(col, "")
         W, _wo, sel, fo = _winnow_batch(col.cast(pa.string()))
@@ -6302,9 +6186,7 @@ def _text_payload(batch: pa.Table) -> pa.Table:
     """Reinterpret the text column as an opaque binary payload — a
     buffer-level cast (string and binary share the same Arrow layout),
     not a per-row Python encode (round-4 verdict #5)."""
-    col = batch["text"]
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
+    col = as_array(batch["text"])
     if col.null_count:
         col = pc.fill_null(col, "")
     if pa.types.is_large_string(col.type):

@@ -50,6 +50,15 @@ def _mix64(h: np.ndarray) -> np.ndarray:
     return h
 
 
+def as_array(col) -> pa.Array:
+    """A column as one ``pa.Array``: a single chunk as it is (no copy; it
+    may carry ``.offset != 0``), two or more chunks combined.
+    ``ChunkedArray.combine_chunks()`` copies even a single chunk."""
+    if isinstance(col, pa.ChunkedArray):
+        return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+    return col
+
+
 def string_view(col) -> tuple[np.ndarray, np.ndarray]:
     """(offsets[n+1]: int64, data: uint8) numpy views of an Arrow string
     column — zero-copy apart from combining two or more chunks.
@@ -59,8 +68,7 @@ def string_view(col) -> tuple[np.ndarray, np.ndarray]:
     (arrays produced by some kernels do) and would otherwise hash
     nondeterministically.  ``fill_null`` is skipped entirely on the common
     null-free path (null_count == 0 is a cheap metadata check)."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+    col = as_array(col)
     if col.null_count:
         import pyarrow.compute as _pc
 

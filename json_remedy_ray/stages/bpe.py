@@ -39,6 +39,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from json_remedy_ray.functions.vhash import as_array
+from json_remedy_ray.stages.textstats import ws_split
+
 # Fixed seed vocabulary: the webtext domain words (the corpus
 # generator's vocabulary) plus deterministic counts — embedded so
 # training is reproducible and the oracle's merge table is a constant.
@@ -143,8 +146,7 @@ class BPETokenizer:
         Returns (flat symbol ids, word index per symbol, n_words)."""
         from json_remedy_ray.functions.vhash import string_view
 
-        if isinstance(words, pa.ChunkedArray):
-            words = words.combine_chunks()
+        words = as_array(words)
         n = len(words)
         if n == 0:
             return np.empty(0, np.int64), np.empty(0, np.int64), 0
@@ -213,25 +215,12 @@ def _split_and_encode(col) -> tuple[int, np.ndarray, np.ndarray, object]:
     split, nonempty-token filter, per-doc word counts, and a
     dictionary-encode of the flat tokens (Zipf: unique words << token
     occurrences).  Returns (n_docs, parents, n_words, enc-or-None)."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    if pa.types.is_null(col.type):
-        col = col.cast(pa.string())
-    if col.null_count:
-        col = pc.fill_null(col, "")
     n = len(col)
-    toks = pc.utf8_split_whitespace(col)
-    flat = pc.list_flatten(toks)
-    parents = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
-    nonempty = pc.not_equal(pc.utf8_length(flat),
-                            0).to_numpy(zero_copy_only=False)
-    flat, parents = flat.filter(pa.array(nonempty)), parents[nonempty]
+    flat, parents = ws_split(col)
     n_words = np.bincount(parents, minlength=n).astype(np.int64)
     enc = None
     if len(flat):
-        enc = pc.dictionary_encode(flat)
-        if isinstance(enc, pa.ChunkedArray):
-            enc = enc.combine_chunks()
+        enc = as_array(pc.dictionary_encode(flat))
     return n, parents, n_words, enc
 
 
@@ -291,8 +280,7 @@ def bpe_counts_for_texts(col) -> np.ndarray:
     tokenizer-count mode's count_fn) — same kernel as the batch op."""
     t = bpe_token_counts_batch(
         pa.table({"doc_id": pa.array(np.zeros(len(col), dtype=np.int64)),
-                  "text": col if not isinstance(col, pa.ChunkedArray)
-                  else col.combine_chunks()}))
+                  "text": col}))
     return t["n_bpe_tokens"].to_numpy(zero_copy_only=False)
 
 

@@ -35,7 +35,12 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from json_remedy_ray.stages.textstats import UWS_RE2_CLASS, pc_fill_null_empty
+from json_remedy_ray.functions.vhash import as_array
+from json_remedy_ray.stages.textstats import (
+    UWS_RE2_CLASS,
+    pc_fill_null_empty,
+    ws_split,
+)
 
 # terminal punctuation at line end, ignoring trailing whitespace — one
 # RE2 pattern shared verbatim with the DuckDB oracle (same trick as the
@@ -58,17 +63,6 @@ def _split_lines(col: pa.Array) -> tuple[pa.Array, np.ndarray, np.ndarray]:
     return flat, parents, total.astype(np.int64)
 
 
-def _line_word_counts(flat: pa.Array) -> np.ndarray:
-    """Non-empty whitespace-token count per line (utf8_split_whitespace
-    emits "" at boundaries; only non-empty tokens are words)."""
-    toks = pc.utf8_split_whitespace(flat)
-    tokflat = pc.list_flatten(toks)
-    tokparent = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
-    nonempty = pc.not_equal(pc.utf8_length(tokflat), 0).to_numpy(
-        zero_copy_only=False)
-    return np.bincount(tokparent[nonempty], minlength=len(flat)).astype(np.int64)
-
-
 def c4_line_filter_batch(batch: pa.Table, text_col: str = "text",
                          id_col: str = "doc_id", min_words: int = 5,
                          min_lines: int = 3) -> pa.Table:
@@ -81,9 +75,7 @@ def c4_line_filter_batch(batch: pa.Table, text_col: str = "text",
     "lorem ipsum" (case-insensitive) and >= min_lines lines survive.
     clean_text is the surviving lines re-joined with \\n.
     """
-    col = pc_fill_null_empty(batch[text_col])
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
+    col = pc_fill_null_empty(as_array(batch[text_col]))
     n = len(col)
     lower_doc = pc.utf8_lower(col)
     brace = pc.match_substring(col, "{").to_numpy(zero_copy_only=False)
@@ -93,7 +85,7 @@ def c4_line_filter_batch(batch: pa.Table, text_col: str = "text",
     flat, parents, total = _split_lines(col)
     term = pc.match_substring_regex(flat, TERMINAL_RE).to_numpy(
         zero_copy_only=False)
-    wc = _line_word_counts(flat)
+    wc = np.bincount(ws_split(flat)[1], minlength=len(flat))
     js = pc.match_substring(pc.utf8_lower(flat), "javascript").to_numpy(
         zero_copy_only=False)
     keep_line = term & (wc >= min_words) & ~js
@@ -107,8 +99,6 @@ def c4_line_filter_batch(batch: pa.Table, text_col: str = "text",
     kept_flat = flat.filter(pa.array(final_mask))
     counts = kept_per_doc[doc_keep]
     offsets = np.concatenate(([0], np.cumsum(counts)))
-    if isinstance(kept_flat, pa.ChunkedArray):
-        kept_flat = kept_flat.combine_chunks()
     off_type = (pa.int64() if pa.types.is_large_string(kept_flat.type)
                 else pa.int32())
     make = (pa.LargeListArray if pa.types.is_large_string(kept_flat.type)
@@ -139,9 +129,7 @@ def line_stats_batch(batch: pa.Table, text_col: str = "text",
     9 * n_lines for the defaults; arbitrary thresholds are reduced to
     an exact p/q via Fraction.limit_denominator) so the oracle can
     reproduce the decision without float division."""
-    col = pc_fill_null_empty(batch[text_col])
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
+    col = pc_fill_null_empty(as_array(batch[text_col]))
     n = len(col)
     flat, parents, total = _split_lines(col)
     bullet = pc.match_substring_regex(flat, BULLET_RE).to_numpy(

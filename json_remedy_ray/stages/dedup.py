@@ -56,13 +56,14 @@ import pyarrow as pa
 import ray.data as rd
 
 from json_remedy_ray.functions.vhash import (
+    as_array,
     hash_strings,
     minhash_from_windows,
     popcount64,
     rolling_hashes,
     simhash_from_token_hashes,
-    string_view,
 )
+from json_remedy_ray.stages.textstats import ws_split
 
 _MERSENNE = (1 << 61) - 1
 _BUCKET_CHUNK = 256          # verification chunk size, NOT a drop cap
@@ -125,9 +126,7 @@ class MinHashStage:
 
     def signatures(self, batch: pa.Table) -> tuple[pa.Array, np.ndarray]:
         """(int64 doc ids, (n, num_perm) uint64 signature matrix)."""
-        ids = batch[self.id_col]
-        if isinstance(ids, pa.ChunkedArray):
-            ids = ids.combine_chunks()
+        ids = as_array(batch[self.id_col])
         col = batch[self.text_col]
         W, wo = rolling_hashes(col, self.shingle_k)
         return ids.cast(pa.int64()), minhash_from_windows(W, wo,
@@ -375,9 +374,7 @@ _PAIRS_SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
 def _sig_matrix(tbl: pa.Table, num_perm: int) -> np.ndarray:
     """(n, num_perm) uint64 view of the fixed-width binary signature
     column — one buffer reshape, no per-row frombuffer."""
-    col = tbl["signature"]
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
+    col = as_array(tbl["signature"])
     n = len(col)
     width = 8 * num_perm
     off_dtype = np.int64 if pa.types.is_large_binary(col.type) else np.int32
@@ -668,7 +665,6 @@ def components_from_pairs(pairs_df: pd.DataFrame) -> pd.DataFrame:
 
 def components_min_label(pairs: rd.Dataset, max_iters: int = 128,
                          id_a: str = "doc_a", id_b: str = "doc_b",
-                         pointer_doubling: bool = True,
                          return_rounds: bool = False,
                          n_buckets: int | None = None):
     """DISTRIBUTED connected components: iterative min-label propagation
@@ -685,7 +681,7 @@ def components_min_label(pairs: rd.Dataset, max_iters: int = 128,
       each round, per bucket, fully vectorized:
         stage A: searchsorted joins the bucket's sorted label table to
           its edge rows (neighbor messages carry lab(u)) and — POINTER
-          DOUBLING, on by default — to the pointer rows (v, label(v))
+          DOUBLING — to the pointer rows (v, label(v))
           routed here by hash(label), so v learns label(label(v)):
           pointer distance doubles per round and a diameter-D chain
           converges in O(log D) rounds (Shiloach-Vishkin shortcutting).
@@ -715,10 +711,10 @@ def components_min_label(pairs: rd.Dataset, max_iters: int = 128,
 
     edges_ds = pairs.map_batches(
         lambda b: pa.table({
-            "node": pa.concat_arrays([b[id_a].combine_chunks().cast(pa.int64()),
-                                      b[id_b].combine_chunks().cast(pa.int64())]),
-            "nbr": pa.concat_arrays([b[id_b].combine_chunks().cast(pa.int64()),
-                                     b[id_a].combine_chunks().cast(pa.int64())]),
+            "node": pa.concat_arrays([as_array(b[id_a].cast(pa.int64())),
+                                      as_array(b[id_b].cast(pa.int64()))]),
+            "nbr": pa.concat_arrays([as_array(b[id_b].cast(pa.int64())),
+                                     as_array(b[id_a].cast(pa.int64()))]),
         }),
         batch_format="pyarrow", batch_size=None,
     ).materialize()
@@ -842,7 +838,7 @@ def components_min_label(pairs: rd.Dataset, max_iters: int = 128,
         a_outs = []
         for b in range(nb):
             ptrs = [ptr_refs[b][i] for i in range(nb)
-                    if ptr_refs[b][i] is not None] if pointer_doubling else []
+                    if ptr_refs[b][i] is not None]
             a = _stage_a.remote(edge_refs[b], label_refs[b], *ptrs)
             if nb == 1:
                 a = [a]
@@ -862,13 +858,12 @@ def components_min_label(pairs: rd.Dataset, max_iters: int = 128,
         prev_sum = s
     else:
         # max_iters exhausted WITHOUT the label-sum fixpoint: the labels
-        # are not components yet (e.g. pointer_doubling=False on a long
-        # chain) — silent wrong dedup mappings are worse than failure
-        # (advisor round-4 finding)
+        # are not components yet (a diameter-D chain needs up to about
+        # 2*log2(D) rounds) — silent wrong dedup mappings are worse than
+        # failure
         raise RuntimeError(
             f"components_min_label did not converge in {max_iters} rounds "
-            "(label sum still decreasing); raise max_iters or enable "
-            "pointer_doubling")
+            "(label sum still decreasing); raise max_iters")
 
     labels = rd.from_arrow_refs(label_refs)
     pdf = labels.to_pandas().rename(columns={"node": "doc_id", "label": "dup_of"})
@@ -882,17 +877,7 @@ def components_min_label(pairs: rd.Dataset, max_iters: int = 128,
 def _batch_simhash(col) -> np.ndarray:
     """uint64 SimHash per doc over whitespace tokens — one Arrow split +
     one vectorized hash of the flat token array (no per-token Python)."""
-    import pyarrow.compute as pc
-
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    toks = pc.utf8_split_whitespace(col)
-    flat = pc.list_flatten(toks)
-    parents = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
-    # drop the empty tokens Arrow emits at string edges (str.split parity)
-    nonempty = pc.not_equal(pc.utf8_length(flat), 0).to_numpy(zero_copy_only=False)
-    flat = flat.filter(pa.array(nonempty))
-    parents = parents[nonempty]
+    flat, parents = ws_split(col)
     counts = np.bincount(parents, minlength=len(col)).astype(np.int64)
     tok_offsets = np.concatenate(([0], np.cumsum(counts)))
     th = hash_strings(flat) if len(flat) else np.empty(0, np.uint64)
@@ -1111,12 +1096,11 @@ def first_occurrence_dups(h: np.ndarray, texts: pa.Array,
 
 
 def _text_array(col) -> pa.Array:
-    """A text column as one string array: a single chunk as is (no
-    copy), a null-typed column as string, nulls as ''."""
+    """A text column as one string array (``as_array``), a null-typed
+    column as string, nulls as ''."""
     import pyarrow.compute as pc
 
-    if isinstance(col, pa.ChunkedArray):
-        col = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+    col = as_array(col)
     if pa.types.is_null(col.type):
         col = col.cast(pa.string())
     if col.null_count:
@@ -1203,7 +1187,11 @@ def line_dedup(ds: rd.Dataset, id_col: str = "doc_id",
     import ray
     import pyarrow.compute as pc
 
-    from json_remedy_ray.state.partitioning import bucket_exchange, merge_sorted
+    from json_remedy_ray.state.partitioning import (
+        bucket_exchange,
+        map_blocks,
+        merge_sorted,
+    )
 
     def join_lines(kept_flat: pa.Array, new_offs: np.ndarray) -> pa.Array:
         # offset/separator types must match the flat string type
@@ -1334,15 +1322,6 @@ def line_dedup(ds: rd.Dataset, id_col: str = "doc_id",
             "text_dedup": join_lines(kept_flat, new_offs),
         })
 
-    if ray.get(n_ref) <= broadcast_max:
-        def rebuild_map(batch: pa.Table) -> pa.Table:
-            return rebuild(batch, *ray.get(drops_ref))
-
-        return ds.map_batches(rebuild_map, batch_format="pyarrow",
-                              batch_size=None)
-
-    # ---- pathological drop set: the doc_id-keyed cogroup, where each
-    # bucket sorts its drops and runs the same rebuild
     ttype = _corpus_schema(ds, id_col, text_col).field(text_col).type
     out_schema = pa.schema([
         ("doc_id", pa.int64()), ("n_lines", pa.int64()),
@@ -1350,6 +1329,14 @@ def line_dedup(ds: rd.Dataset, id_col: str = "doc_id",
         ("text_dedup", ttype if pa.types.is_large_string(ttype)
          else pa.string())])
 
+    if ray.get(n_ref) <= broadcast_max:
+        def rebuild_map(batch: pa.Table) -> pa.Table:
+            return rebuild(batch, *ray.get(drops_ref))
+
+        return map_blocks(ds, rebuild_map, out_schema)
+
+    # ---- pathological drop set: the doc_id-keyed cogroup, where each
+    # bucket sorts its drops and runs the same rebuild
     def cogroup(docs: pa.Table, drops: pa.Table) -> pa.Table:
         d_ids = drops["doc_id"].to_numpy()
         d_nos = drops["line_no"].to_numpy()
@@ -1387,17 +1374,9 @@ def _word_ngram_hash_sets(col, n: int = 3) -> tuple[np.ndarray, np.ndarray]:
     searchsorted on parents.  Token semantics match str.split (empty
     tokens dropped), so hash-set Jaccard equals ngram_jaccard barring
     64-bit collisions."""
-    import pyarrow.compute as pc
-
     from json_remedy_ray.functions.vhash import _mix64
 
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    toks = pc.utf8_split_whitespace(col)
-    flat = pc.list_flatten(toks)
-    parents = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
-    nonempty = pc.not_equal(pc.utf8_length(flat), 0).to_numpy(zero_copy_only=False)
-    flat, parents = flat.filter(pa.array(nonempty)), parents[nonempty]
+    flat, parents = ws_split(col)
     th = hash_strings(flat) if len(flat) else np.empty(0, np.uint64)
     m = len(th) - n + 1
     if m <= 0:
@@ -1459,13 +1438,7 @@ def jaccard_neardup_pairs(ds: rd.Dataset, n: int = 3,
             return pa.table({id_col: pa.array([], type=pa.int64()),
                              "grams": pa.array([], type=pa.list_(pa.int64()))})
         sub = batch.filter(pa.array(mask))
-        col = sub[text_col]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        if col.null_count:
-            import pyarrow.compute as pc
-            col = pc.fill_null(col, "")
-        g, gp = _word_ngram_hash_sets(col, n=n)
+        g, gp = _word_ngram_hash_sets(sub[text_col], n=n)
         counts = np.bincount(gp, minlength=sub.num_rows)
         offs = np.concatenate(([0], np.cumsum(counts)))
         lists = pa.ListArray.from_arrays(pa.array(offs, type=pa.int32()),
@@ -1518,13 +1491,7 @@ def intradoc_line_dedup_batch(batch: pa.Table, id_col: str = "doc_id",
     different lines can never merge."""
     import pyarrow.compute as pc
 
-    col = batch[text_col]
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    if pa.types.is_null(col.type):
-        col = col.cast(pa.string())
-    if col.null_count:
-        col = pc.fill_null(col, "")
+    col = _text_array(batch[text_col])
     parts = pc.split_pattern(col, pattern="\n")
     flat = pc.list_flatten(parts)
     parents = pc.list_parent_indices(parts).to_numpy(zero_copy_only=False)
@@ -1588,18 +1555,9 @@ def _word_ngram_occurrences(col, n: int):
     deduped): parent is the doc index within the batch, pos the gram's
     start index among the doc's non-empty tokens — the same str.split
     token semantics as _word_ngram_hash_sets."""
-    import pyarrow.compute as pc
-
     from json_remedy_ray.functions.vhash import _mix64
 
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    toks = pc.utf8_split_whitespace(col)
-    flat = pc.list_flatten(toks)
-    parents = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
-    nonempty = pc.not_equal(pc.utf8_length(flat), 0).to_numpy(zero_copy_only=False)
-    flat, parents = flat.filter(pa.array(nonempty)), parents[nonempty]
-    parents = parents.astype(np.int64)
+    flat, parents = ws_split(col)
     th = hash_strings(flat) if len(flat) else np.empty(0, np.uint64)
     counts = np.bincount(parents, minlength=len(col))
     starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
@@ -1650,7 +1608,11 @@ def crossdoc_span_dedup(ds: rd.Dataset, n: int = 8, n_buckets: int = 32,
     import ray
     import pyarrow.compute as pc
 
-    from json_remedy_ray.state.partitioning import bucket_exchange, merge_sorted
+    from json_remedy_ray.state.partitioning import (
+        bucket_exchange,
+        map_blocks,
+        merge_sorted,
+    )
 
     _SPAN_SCHEMA = pa.schema([("doc_id", pa.int64()), ("s", pa.int64()),
                               ("e", pa.int64())])
@@ -1701,13 +1663,7 @@ def crossdoc_span_dedup(ds: rd.Dataset, n: int = 8, n_buckets: int = 32,
         nrows = len(ids)
         if nrows == 0:
             return _OUT_SCHEMA.empty_table()
-        toks = pc.utf8_split_whitespace(col)
-        flat = pc.list_flatten(toks)
-        parents = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
-        nonempty = pc.not_equal(pc.utf8_length(flat),
-                                0).to_numpy(zero_copy_only=False)
-        flat, parents = flat.filter(pa.array(nonempty)), parents[nonempty]
-        parents = parents.astype(np.int64)
+        flat, parents = ws_split(col)
         n_tok = np.bincount(parents, minlength=nrows).astype(np.int64)
         starts = np.concatenate(([0], np.cumsum(n_tok)))
         total = int(starts[-1])
@@ -1752,8 +1708,7 @@ def crossdoc_span_dedup(ds: rd.Dataset, n: int = 8, n_buckets: int = 32,
             ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
             return rebuild_core(ids, _text_array(batch[text_col]), sdoc, ss, se)
 
-        return ds.map_batches(rebuild, batch_format="pyarrow",
-                              batch_size=None)
+        return map_blocks(ds, rebuild, _OUT_SCHEMA)
 
     # ---- pathological span table: the doc_id-keyed cogroup, where each
     # bucket sorts its spans and runs the same rebuild_core
@@ -1799,9 +1754,6 @@ def crossdoc_ngram_stats(ds: rd.Dataset, n: int = 8, n_buckets: int = 32,
     duplicate gram (~#grams^2/2^64, the repo-wide sketch convention);
     the DuckDB oracle compares exact gram strings, so oracle equality
     at test scale doubles as the no-collision check."""
-    import ray
-    import pyarrow.compute as pc
-
     from json_remedy_ray.functions.vhash import _mix64
     from json_remedy_ray.state.partitioning import bucket_exchange
 
@@ -1815,12 +1767,7 @@ def crossdoc_ngram_stats(ds: rd.Dataset, n: int = 8, n_buckets: int = 32,
         z = np.zeros(tbl.num_rows, dtype=np.int64)
         zeros = pa.table({"doc_id": tbl[id_col].cast(pa.int64()),
                           "n_grams": pa.array(z), "dup_grams": pa.array(z)})
-        col = tbl[text_col]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        if col.null_count:
-            col = pc.fill_null(col, "")
-        g, gp = _word_ngram_hash_sets(col, n=n)
+        g, gp = _word_ngram_hash_sets(tbl[text_col], n=n)
         ids = tbl[id_col].to_numpy(zero_copy_only=False).astype(np.int64)[gp]
         t = pa.table({"gram": pa.array(g.view(np.int64)),
                       "doc_id": pa.array(ids)})

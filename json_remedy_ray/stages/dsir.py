@@ -34,26 +34,15 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-
-def _doc_tokens(col: pa.Array):
-    """lowered whitespace tokens: (flat tokens, parent doc index)."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    if col.null_count:
-        col = pc.fill_null(col, "")
-    toks = pc.utf8_split_whitespace(pc.utf8_lower(col))
-    flat = pc.list_flatten(toks)
-    parents = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
-    nonempty = pc.greater(pc.utf8_length(flat), 0).to_numpy(
-        zero_copy_only=False)
-    return flat.filter(pa.array(nonempty)), parents[nonempty]
+from json_remedy_ray.functions.vhash import as_array
+from json_remedy_ray.stages.textstats import ws_split
 
 
 def token_count_partial(batch: pa.Table, target_mask: np.ndarray,
                         text_col: str = "text") -> pa.Table:
     """(token, ct, ca) for one block: ct counts occurrences inside
     target-slice docs, ca counts all occurrences."""
-    flat, parents = _doc_tokens(batch[text_col])
+    flat, parents = ws_split(pc.utf8_lower(batch[text_col]))
     is_t = target_mask[parents].astype(np.int64)
     t = pa.table({"token": flat, "ct": pa.array(is_t),
                   "ca": pa.array(np.ones(len(is_t), dtype=np.int64))})
@@ -77,7 +66,7 @@ def score_batch(batch: pa.Table, vocab: pa.Array, wt: np.ndarray,
                 id_col: str = "doc_id", text_col: str = "text") -> pa.Table:
     """(doc_id, dsir_micro, n_tokens) for one block against the
     broadcast (vocab, weight) table."""
-    flat, parents = _doc_tokens(batch[text_col])
+    flat, parents = ws_split(pc.utf8_lower(batch[text_col]))
     n = batch.num_rows
     # large_string corpora yield large_string tokens; match the vocab
     # type (cast the small side) or index_in rejects the lookup
@@ -111,8 +100,7 @@ def md5_bucket_of(tokens: pa.Array, n_buckets: int) -> np.ndarray:
     """int64 bucket per token: first 4 md5 bytes mod n_buckets."""
     import hashlib
 
-    enc = tokens.dictionary_encode() if not isinstance(
-        tokens, pa.ChunkedArray) else tokens.combine_chunks().dictionary_encode()
+    enc = as_array(tokens).dictionary_encode()
     uniq = enc.dictionary.to_pylist()
     b = np.array([int(hashlib.md5(w.encode()).hexdigest()[:8], 16)
                   % n_buckets for w in uniq], dtype=np.int64)
@@ -125,7 +113,7 @@ def bucket_count_partial(batch: pa.Table, target_mask: np.ndarray,
                          n_buckets: int,
                          text_col: str = "text") -> pa.Table:
     """(bucket, ct, ca) for one block — at most n_buckets rows."""
-    flat, parents = _doc_tokens(batch[text_col])
+    flat, parents = ws_split(pc.utf8_lower(batch[text_col]))
     if not len(flat):
         return pa.table({"bucket": pa.array([], pa.int64()),
                          "ct": pa.array([], pa.int64()),
@@ -145,7 +133,7 @@ def score_batch_hashed(batch: pa.Table, wt_full: np.ndarray,
     """(doc_id, dsir_micro, n_tokens) against the dense bucket-weight
     array (every scored token's bucket is observed by construction —
     it contributed to ca in pass 1)."""
-    flat, parents = _doc_tokens(batch[text_col])
+    flat, parents = ws_split(pc.utf8_lower(batch[text_col]))
     n = batch.num_rows
     if len(flat):
         bk = md5_bucket_of(flat, n_buckets)

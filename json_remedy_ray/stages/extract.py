@@ -36,6 +36,8 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from json_remedy_ray.functions.vhash import as_array
+
 # (pattern, replacement) — RE2 syntax, applied top to bottom.  Inline
 # flags instead of API flags so DuckDB regexp_replace(.., 'g') can run
 # the very same pattern strings.
@@ -74,8 +76,7 @@ def extract_text(col: pa.Array | pa.ChunkedArray) -> pa.Array:
     corpus encoding contract) or ``string``; returns a string array the
     same length.  NULL html extracts to the empty string (crawl rows
     with a failed fetch must not poison downstream kernels)."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
+    col = as_array(col)
     if pa.types.is_binary(col.type) or pa.types.is_large_binary(col.type):
         col = col.cast(pa.string() if pa.types.is_binary(col.type)
                        else pa.large_string())

@@ -45,6 +45,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from json_remedy_ray.functions.vhash import as_array
+
 _LINK_PREFIX = 'href="https://'
 _HOST_RE = r'^(?P<host>[^/"]+)'
 
@@ -54,8 +56,7 @@ def _split_links(html: pa.Array | pa.ChunkedArray):
     (parents, fragments) where each fragment STARTS with the linked
     host (one Arrow split_pattern; parent rows from the list offsets,
     the pre-anchor slot 0 of every list dropped)."""
-    if isinstance(html, pa.ChunkedArray):
-        html = html.combine_chunks()
+    html = as_array(html)
     html = pc.fill_null(html, "")
     parts = pc.split_pattern(html, _LINK_PREFIX)
     offs = parts.offsets.to_numpy()
@@ -140,14 +141,10 @@ def pagerank_refs(edge_refs, n_buckets: int = 8, iters: int = 5,
         partition_by_bucket,
     )
 
-    def _col(t: pa.Table, name: str) -> pa.Array:
-        c = t[name]
-        return c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
-
     # ---- phase A1: edges, hash-partitioned ONCE by src ----------------
     def _part_edges(tbl: pa.Table):
         tbl = tbl.cast(_EDGE_SCHEMA)
-        return _host_key(_col(tbl, "src")), tbl
+        return _host_key(tbl["src"]), tbl
 
     def _edges_reduce(t: pa.Table) -> pa.Table:
         g = t.group_by(["src", "dst"]).aggregate([("w", "sum")])
@@ -164,7 +161,7 @@ def pagerank_refs(edge_refs, n_buckets: int = 8, iters: int = 5,
     def _part_hosts(tbl: pa.Table):
         tbl = tbl.cast(_EDGE_SCHEMA)
         hosts = pc.unique(pa.concat_arrays(
-            [_col(tbl, "src"), _col(tbl, "dst")]))
+            [as_array(tbl["src"]), as_array(tbl["dst"])]))
         return _host_key(hosts), pa.table({"host": hosts})
 
     def _hosts_reduce(t: pa.Table) -> pa.Table:
@@ -193,9 +190,9 @@ def pagerank_refs(edge_refs, n_buckets: int = 8, iters: int = 5,
         sch = pa.schema([("dst", pa.string()), ("c", pa.int64())])
         if edges.num_rows == 0:
             return _one_or_tuple([sch.empty_table()] * n_buckets)
-        idx = pc.index_in(_col(edges, "src"), value_set=_col(ranks, "host"))
+        idx = pc.index_in(as_array(edges["src"]), value_set=as_array(ranks["host"]))
         assert idx.null_count == 0, "src host missing from its rank bucket"
-        r = _col(ranks, "rank_micro").take(idx).to_numpy(
+        r = as_array(ranks["rank_micro"]).take(idx).to_numpy(
             zero_copy_only=False)
         w = edges["w"].to_numpy(zero_copy_only=False)
         outw = edges["outw"].to_numpy(zero_copy_only=False)
@@ -203,7 +200,7 @@ def pagerank_refs(edge_refs, n_buckets: int = 8, iters: int = 5,
         t = pa.table({"dst": edges["dst"],
                       "c": pa.array(c, type=pa.int64())}).cast(sch)
         return _one_or_tuple(partition_by_bucket(
-            t, _host_key(_col(t, "dst")), n_buckets))
+            t, _host_key(t["dst"]), n_buckets))
 
     @ray.remote
     def _new_ranks(hosts: pa.Table, *slices: pa.Table) -> pa.Table:
@@ -212,7 +209,7 @@ def pagerank_refs(edge_refs, n_buckets: int = 8, iters: int = 5,
         if live:
             t = pa.concat_tables(live).combine_chunks()
             g = t.group_by("dst").aggregate([("c", "sum")])
-            idx = pc.index_in(g["dst"], value_set=_col(hosts, "host"))
+            idx = pc.index_in(g["dst"], value_set=as_array(hosts["host"]))
             assert idx.null_count == 0, "dst host missing from universe"
             np.add.at(rank, idx.to_numpy(zero_copy_only=False),
                       g["c_sum"].to_numpy(zero_copy_only=False))

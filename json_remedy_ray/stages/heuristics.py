@@ -28,6 +28,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from json_remedy_ray.functions.vhash import as_array
 from json_remedy_ray.stages.textscan import TextScan, WordTable, row_sums
 
 STOPWORDS = frozenset(
@@ -198,7 +199,7 @@ def dup_line_frac(scan: TextScan) -> np.ndarray:
         lines = pa.LargeStringArray.from_buffers(len(cand), pa.py_buffer(off), pa.py_buffer(scan.b[at]))
         t = pa.table({"row": l_row[cand], "line": lines}).sort_by([("row", "ascending"), ("line", "ascending")])
         r = t["row"].to_numpy()
-        lines = t["line"].combine_chunks()
+        lines = as_array(t["line"])
         k = len(r) - 1
         eq = (r[1:] == r[:-1]) & pc.equal(lines.slice(1), lines.slice(0, k)).to_numpy(zero_copy_only=False)
         dups = np.bincount(r[1:][eq], minlength=scan.n)

@@ -26,14 +26,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from json_remedy_ray.functions.vhash import _mix64, hash_strings
+from json_remedy_ray.functions.vhash import _mix64, as_array, hash_strings
 from json_remedy_ray.state.partitioning import join_exchange
 
 
 def _key_hash(tbl: pa.Table, key: str) -> np.ndarray:
-    col = tbl[key]
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
+    col = as_array(tbl[key])
     if pa.types.is_integer(col.type):
         # fill_null first: to_numpy on a null-bearing int array silently
         # promotes to float64, and .view would then hash float bit

@@ -29,26 +29,16 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from json_remedy_ray.stages.textstats import pc_fill_null_empty
+from json_remedy_ray.stages.textstats import ws_split
 
 K1 = 1.2
 B = 0.75
 
 
-def _doc_tokens(col):
-    """lowercased whitespace tokens: (flat tokens, parent doc index,
-    per-doc length) with empty boundary tokens removed."""
-    toks = pc.utf8_split_whitespace(pc.utf8_lower(col))
-    flat = pc.list_flatten(toks)
-    parents = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
-    nonempty = pc.not_equal(pc.utf8_length(flat), 0).to_numpy(zero_copy_only=False)
-    return flat, parents, nonempty
-
-
-def _term_tfs(flat, parents, nonempty, terms: list[str], n: int) -> list[np.ndarray]:
+def _term_tfs(flat, parents, terms: list[str], n: int) -> list[np.ndarray]:
     out = []
     for t in terms:
-        m = pc.equal(flat, t).to_numpy(zero_copy_only=False) & nonempty
+        m = pc.equal(flat, t).to_numpy(zero_copy_only=False)
         out.append(np.bincount(parents[m], minlength=n).astype(np.int64))
     return out
 
@@ -60,15 +50,12 @@ def bm25_topk(ds: rd.Dataset, terms: list[str], k: int = 20,
     terms = list(terms)
 
     def stats_batch(batch: pa.Table) -> pa.Table:
-        col = pc_fill_null_empty(batch[text_col])
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        n = len(col)
-        flat, parents, nonempty = _doc_tokens(col)
-        dl = np.bincount(parents[nonempty], minlength=n)
+        n = batch.num_rows
+        flat, parents = ws_split(pc.utf8_lower(batch[text_col]))
+        dl = np.bincount(parents, minlength=n)
         row = {"n_docs": pa.array([n], type=pa.int64()),
                "sum_dl": pa.array([int(dl.sum())], type=pa.int64())}
-        for i, tf in enumerate(_term_tfs(flat, parents, nonempty, terms, n)):
+        for i, tf in enumerate(_term_tfs(flat, parents, terms, n)):
             row[f"df_{i}"] = pa.array([int((tf > 0).sum())], type=pa.int64())
         return pa.table(row)
 
@@ -82,15 +69,12 @@ def bm25_topk(ds: rd.Dataset, terms: list[str], k: int = 20,
            for i in range(len(terms))]
 
     def score_batch(batch: pa.Table) -> pa.Table:
-        col = pc_fill_null_empty(batch[text_col])
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        n = len(col)
-        flat, parents, nonempty = _doc_tokens(col)
-        dl = np.bincount(parents[nonempty], minlength=n).astype(np.int64)
+        n = batch.num_rows
+        flat, parents = ws_split(pc.utf8_lower(batch[text_col]))
+        dl = np.bincount(parents, minlength=n).astype(np.int64)
         norm = K1 * (1 - B + B * dl / avgdl)
         score = np.zeros(n, dtype=np.float64)
-        for i, tf in enumerate(_term_tfs(flat, parents, nonempty, terms, n)):
+        for i, tf in enumerate(_term_tfs(flat, parents, terms, n)):
             tf = tf.astype(np.float64)
             score = score + idf[i] * (tf * 2.2) / (tf + norm)
         s32 = score.astype(np.float32)

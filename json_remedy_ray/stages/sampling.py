@@ -36,6 +36,8 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
+from json_remedy_ray.functions.vhash import as_array
+
 _KNUTH = np.uint64(2654435761)
 _M32 = np.uint64(0xFFFFFFFF)
 
@@ -105,7 +107,7 @@ def stratified_sample_k(ds: rd.Dataset, k: int,
 
     def local_topk(tbl: pa.Table):
         tbl = tbl.filter(pc.is_valid(tbl[stratum_col]))
-        strata = tbl[stratum_col].combine_chunks()
+        strata = as_array(tbl[stratum_col])
         ids = tbl[id_col].to_numpy().astype(np.int64)
         top = topk(strata, ids)
         return hash_strings(pc.cast(top["stratum"], pa.string())), top

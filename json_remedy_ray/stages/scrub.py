@@ -19,6 +19,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from json_remedy_ray.functions.vhash import as_array
+
 _PII_PATTERNS: list[tuple[str, re.Pattern]] = [
     ("EMAIL", re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}")),
     ("IP", re.compile(r"\b(?:\d{1,3}\.){3}\d{1,3}\b")),
@@ -45,9 +47,7 @@ _ANY_RE = f"(?:{_PREFILTER})|(?i:{_TOXIC_WORD_RE})"
 
 
 def scrub_batch(batch: pa.Table, text_col: str = "text", out_col: str = "scrubbed_text") -> pa.Table:
-    col = batch[text_col]
-    if col.num_chunks != 1:
-        col = col.combine_chunks()
+    col = as_array(batch[text_col])
     n = len(col)
     # both detectors are vectorized, and run only on the rows their union
     # matches; Python substitution only touches the (usually tiny)

@@ -23,6 +23,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from json_remedy_ray.functions.vhash import as_array
 from json_remedy_ray.state.partitioning import (
     bucket_exchange,
     default_n_buckets,
@@ -33,7 +34,8 @@ from json_remedy_ray.state.partitioning import (
 
 
 def _stack(col) -> np.ndarray:
-    if isinstance(col, (pa.Array, pa.ChunkedArray)):
+    col = as_array(col)
+    if isinstance(col, pa.Array):
         vals = col.to_numpy(zero_copy_only=False)
     else:  # pandas Series / list
         vals = np.asarray(col, dtype=object)
@@ -455,10 +457,8 @@ def pq_search(encoded: rd.Dataset, books: np.ndarray, queries: np.ndarray,
 
     def score(batch: pa.Table) -> pa.Table:
         qids, lut_ = ray.get(q_ref)
-        codes_col = batch["codes"]
-        if isinstance(codes_col, pa.ChunkedArray):
-            codes_col = codes_col.combine_chunks()
-        codes = (np.asarray(codes_col.values).reshape(-1, m_sub))
+        codes_col = as_array(batch["codes"])
+        codes = (np.asarray(codes_col.flatten()).reshape(-1, m_sub))
         sims = np.zeros((len(qids), len(codes)))
         for s in range(m_sub):               # m_sub tiny; gather vectorized
             sims += lut_[:, s, codes[:, s]]

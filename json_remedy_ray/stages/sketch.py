@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from json_remedy_ray.functions.vhash import hash_strings, popcount64
+from json_remedy_ray.functions.vhash import as_array, hash_strings, popcount64
 
 _P = 12                      # 4096 registers -> ~1.6% typical error
 _M = 1 << _P
@@ -38,10 +38,7 @@ def leading_zeros64(x: np.ndarray) -> np.ndarray:
 
 def hll_register_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     """One HLL register array (uint8[2**p]) per input batch."""
-    col = batch[text_col]
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    h = hash_strings(col)
+    h = hash_strings(batch[text_col])
     idx = (h >> np.uint64(64 - _P)).astype(np.int64)       # top p bits
     rest = h << np.uint64(_P)                              # remaining 64-p bits
     # rank = position of first 1-bit in `rest` (1-based); rest == 0 (all
@@ -115,10 +112,7 @@ def count_distinct_exact_bounded(ds, text_col: str = "text") -> int:
     from json_remedy_ray.functions.vhash import hash_strings
 
     def block_unique(batch: pa.Table) -> pa.Table:
-        col = batch[text_col]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        h = np.unique(hash_strings(col)).view(np.int64)
+        h = np.unique(hash_strings(batch[text_col])).view(np.int64)
         return pa.table({"h": pa.array(h, type=pa.int64())})
 
     partials = ds.map_batches(block_unique, batch_format="pyarrow", batch_size=None)
@@ -155,10 +149,7 @@ def count_distinct_exact_exchange(ds, text_col: str = "text",
     from json_remedy_ray.state.partitioning import bucket_exchange
 
     def block_unique(batch: pa.Table) -> pa.Table:
-        col = batch[text_col]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        h = np.unique(hash_strings(col))          # uint64, sorted
+        h = np.unique(hash_strings(batch[text_col]))   # uint64, sorted
         return pa.table({"h": pa.array(h.view(np.int64))})
 
     partials = ds.map_batches(block_unique, batch_format="pyarrow",
@@ -194,9 +185,7 @@ def bloom_from_dataset(ds, text_col: str = "text",
     words = m_bits // 64
 
     def block_bloom(batch: pa.Table) -> pa.Table:
-        col = batch[text_col]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
+        col = as_array(batch[text_col])
         bm = np.zeros(words, dtype=np.uint64)
         for s in range(k):
             h = hash_strings(col, seed=s) % np.uint64(m_bits)

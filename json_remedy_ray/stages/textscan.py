@@ -51,7 +51,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from json_remedy_ray.functions.vhash import string_view
+from json_remedy_ray.functions.vhash import as_array, string_view
 from json_remedy_ray.stages.textstats import UWS_CHARS
 
 _PACK = 8                                  # bytes per packed run: one uint64
@@ -222,8 +222,7 @@ class TextScan:
     ``words`` is the packed lookup that ``run_words`` reads."""
 
     def __init__(self, col, words: WordTable | None = None):
-        if isinstance(col, pa.ChunkedArray):
-            col = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+        col = as_array(col)
         self.col, self.words, self.n = col, words, len(col)
         off, data = string_view(col)
         self.rel = off - off[0]

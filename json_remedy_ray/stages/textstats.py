@@ -17,6 +17,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as _pc
 
+from json_remedy_ray.functions.vhash import as_array
+
 
 def pc_fill_null_empty(col):
     return _pc.fill_null(col, "") if col.null_count else col
@@ -50,6 +52,26 @@ def ws_tokens(text: str) -> list[str]:
     return _UWS_TOKEN_RE.findall(text or "")
 
 
+def ws_split(col) -> tuple[pa.Array, np.ndarray]:
+    """Whitespace tokens of a string column, the batch form of
+    ``ws_tokens``: (flat tokens, int64 parent row per token).
+
+    Arrow's utf8_split_whitespace splits on exactly UWS_CHARS (str.split
+    parity, verified incl. \\x1c-\\x1f) but keeps the empty tokens that
+    leading/trailing runs and "" leave; those are dropped here.  Null
+    rows give no tokens.  Lowered tokens: pass ``pc.utf8_lower(col)``."""
+    col = as_array(col)
+    if pa.types.is_null(col.type):
+        col = col.cast(pa.string())
+    toks = _pc.utf8_split_whitespace(col)
+    flat = _pc.list_flatten(toks)
+    parents = _pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
+    nonempty = _pc.binary_length(flat).to_numpy(zero_copy_only=False) > 0
+    if nonempty.all():
+        return flat, parents
+    return flat.filter(pa.array(nonempty)), parents[nonempty]
+
+
 def ws_token_count(text: str) -> int:
     return len(_UWS_TOKEN_RE.findall(text or ""))
 
@@ -78,18 +100,8 @@ def _winnow_batch(col, k: int = 8, window: int = 4):
 
 
 def ws_token_counts_batch(col) -> np.ndarray:
-    """Per-doc whitespace token counts, fully vectorized: the dedicated
-    utf8_split_whitespace kernel splits on exactly the canonical
-    UWS_CHARS set (str.split parity, verified incl. \\x1c-\\x1f), so
-    counting its non-empty tokens equals len(_UWS_TOKEN_RE.findall(t))
-    — the scalar ws_token_count — with zero per-row Python."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    col = pc_fill_null_empty(col)
-    toks = _pc.utf8_split_whitespace(col)
-    flat_lens = _pc.utf8_length(_pc.list_flatten(toks)).to_numpy(zero_copy_only=False)
-    parents = _pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
-    return np.bincount(parents[flat_lens > 0], minlength=len(col)).astype(np.int64)
+    """Per-doc whitespace token counts (the scalar ws_token_count)."""
+    return np.bincount(ws_split(col)[1], minlength=len(col)).astype(np.int64)
 
 
 def textstats_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
@@ -108,10 +120,7 @@ def textstats_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
                            re-encoding Python strings
       n_winnowed_fps     — vectorized rolling-hash winnowing (vhash)
     """
-    col = batch[text_col]
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    col = pc_fill_null_empty(col)
+    col = pc_fill_null_empty(as_array(batch[text_col]))
     n = len(col)
 
     ws_counts = ws_token_counts_batch(col)
@@ -150,17 +159,8 @@ def gopher_repetition_batch(batch: pa.Table, text_col: str = "text") -> pa.Table
 
     from json_remedy_ray.functions.vhash import _mix64, _P, hash_strings
 
-    col = batch[text_col]
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    col = pc.utf8_lower(pc_fill_null_empty(col))
-    n = len(col)
-    toks = pc.utf8_split_whitespace(col)
-    flat = pc.list_flatten(toks)
-    parents = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
-    nonempty = pc.utf8_length(flat).to_numpy(zero_copy_only=False) > 0
-    flat = flat.filter(pa.array(nonempty))
-    parents = parents[nonempty].astype(np.int64)
+    n = batch.num_rows
+    flat, parents = ws_split(pc.utf8_lower(batch[text_col]))
     n_words = np.bincount(parents, minlength=n).astype(np.int64)
 
     if len(parents):
@@ -227,17 +227,8 @@ def gopher_ngram_repetition_batch(batch: pa.Table, text_col: str = "text",
 
     from json_remedy_ray.functions.vhash import _mix64, _P, hash_strings
 
-    col = batch[text_col]
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    col = pc.utf8_lower(pc_fill_null_empty(col))
-    n_docs = len(col)
-    toks = pc.utf8_split_whitespace(col)
-    flat = pc.list_flatten(toks)
-    parents = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
-    nonempty = pc.utf8_length(flat).to_numpy(zero_copy_only=False) > 0
-    flat = flat.filter(pa.array(nonempty))
-    parents = parents[nonempty].astype(np.int64)
+    n_docs = batch.num_rows
+    flat, parents = ws_split(pc.utf8_lower(batch[text_col]))
     n_words = np.bincount(parents, minlength=n_docs).astype(np.int64)
     th = hash_strings(flat) if len(parents) else np.empty(0, np.uint64)
 
@@ -341,10 +332,7 @@ def contamination_flags_batch(batch: pa.Table, snippets: list[str],
     over rolling_hashes — same plumbing, documented scale path."""
     import pyarrow.compute as pc
 
-    col = batch[text_col]
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    col = pc_fill_null_empty(col)
+    col = pc_fill_null_empty(as_array(batch[text_col]))
     n = len(col)
     hits = np.zeros(n, dtype=np.int64)
     for s in snippets:
@@ -362,16 +350,10 @@ def block_token_counts(col):
     (functions/queries.top_tokens_corpus) and the Misra-Gries sketch so
     their "same tokenization" contract is structural, not copy-paste.
     Returns (token Array, count int64 ndarray)."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    col = pc_fill_null_empty(col)
-    flat = _pc.list_flatten(_pc.utf8_split_whitespace(_pc.utf8_lower(col)))
-    flat = flat.filter(_pc.greater(_pc.utf8_length(flat), 0))
+    flat, _ = ws_split(_pc.utf8_lower(col))
     g = (pa.table({"token": flat}).group_by("token")
          .aggregate([("token", "count")]))
-    toks = g["token"]
-    if isinstance(toks, pa.ChunkedArray):
-        toks = toks.combine_chunks()
+    toks = as_array(g["token"])
     cnts = g["token_count"].to_numpy(zero_copy_only=False).astype(np.int64)
     return toks, cnts
 
@@ -393,10 +375,7 @@ def nfc_normalize_batch(batch: pa.Table, text_col: str = "text",
     with unicodedata (probed), so the oracle is exact."""
     import unicodedata
 
-    col = batch[text_col]
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    col = pc_fill_null_empty(col)
+    col = pc_fill_null_empty(as_array(batch[text_col]))
     is_ascii = _pc.string_is_ascii(col).to_numpy(zero_copy_only=False)
     n = len(col)
     changed = np.zeros(n, dtype=bool)

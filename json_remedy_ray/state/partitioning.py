@@ -41,6 +41,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from json_remedy_ray.functions.vhash import as_array
+
 
 def _stable_hash_u64(arr: pa.ChunkedArray | pa.Array) -> np.ndarray:
     """Deterministic 64-bit hash of a string column, computed directly
@@ -171,8 +173,7 @@ def salt_replicate(keys: np.ndarray, hot_arr: np.ndarray,
 
 def ts_int64_col(tbl: pa.Table, col: str = "ts") -> np.ndarray:
     """int64-microsecond view of a timestamp column (chunk-combining)."""
-    c = tbl[col].cast(pa.timestamp("us"))
-    c = c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
+    c = as_array(tbl[col].cast(pa.timestamp("us")))
     return c.to_numpy(zero_copy_only=False).view("int64")
 
 
@@ -377,6 +378,18 @@ def merge_sorted(refs, cols: list[str], max_rows: int):
         return n, tuple(a[order] for a in arrs)
 
     return _merge.remote(*refs)
+
+
+def map_blocks(ds, fn, schema: pa.Schema):
+    """``fn`` over every whole pyarrow block of a materialized ``ds`` —
+    the broadcast branch beside merge_sorted.  A ``ds`` without rows
+    gives one ``schema.empty_table()`` block, where ``map_batches``
+    would emit no block and leave the result without a schema."""
+    import ray.data as rd
+
+    if not ds.count():
+        return rd.from_arrow(schema.empty_table())
+    return ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
 
 
 def join_exchange(left_refs, right_refs, n_buckets: int,

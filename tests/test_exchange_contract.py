@@ -359,8 +359,7 @@ def _assert_one_schema(tables: list[pa.Table], schema: pa.Schema):
 
 def test_line_dedup_fallback_schema_matches_broadcast(ray_session):
     """A large_string corpus keeps large_string text on both routing
-    paths, in every block; the fallback's blocks keep it on a zero-row
-    corpus too."""
+    paths, in every block, on a zero-row corpus too."""
     from json_remedy_ray.stages.dedup import line_dedup
 
     c = _corpus()
@@ -372,7 +371,9 @@ def test_line_dedup_fallback_schema_matches_broadcast(ray_session):
     _assert_one_schema(bc, schema)
     import ray.data as rd
 
-    for src in (_ds(tbl), rd.from_arrow(_LARGE.empty_table())):
+    empty = rd.from_arrow(_LARGE.empty_table())
+    _assert_one_schema(_blocks_of(line_dedup(empty)), schema)
+    for src in (_ds(tbl), empty):
         fb = line_dedup(src, n_buckets=5, broadcast_max=-1)
         _assert_one_schema(_blocks_of(fb), schema)
 
@@ -383,7 +384,9 @@ def test_crossdoc_span_dedup_fallback_schema(ray_session):
     bc = _blocks_of(crossdoc_span_dedup(_ds(_corpus()), n=4))
     schema = bc[0].schema
     _assert_one_schema(bc, schema)
-    for src in (_ds(_corpus()), _ds(_LARGE.empty_table(), 1)):
+    empty = _ds(_LARGE.empty_table(), 1)
+    _assert_one_schema(_blocks_of(crossdoc_span_dedup(empty, n=4)), schema)
+    for src in (_ds(_corpus()), empty):
         _assert_one_schema(_blocks_of(crossdoc_span_dedup(
             src, n=4, n_buckets=5, broadcast_max=-1)), schema)
 
@@ -395,8 +398,12 @@ def test_filter_pipeline_fallback_schema(ray_session, tmp_path):
     bc = _blocks_of(filter_pipeline_documents(str(tmp_path)))
     schema = bc[0].schema
     _assert_one_schema(bc, schema)
-    _assert_one_schema(_blocks_of(filter_pipeline_documents(
-        str(tmp_path), broadcast_max=-1)), schema)
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    pq.write_table(_corpus().slice(0, 0), empty / "documents.parquet")
+    for sf, bmax in ((tmp_path, -1), (empty, 1 << 25), (empty, -1)):
+        _assert_one_schema(_blocks_of(filter_pipeline_documents(
+            str(sf), broadcast_max=bmax)), schema)
 
 
 def test_simhash_pairs_schema_without_pairs(ray_session):
@@ -499,3 +506,40 @@ def test_no_dataset_map_groups_in_library():
     hits = [str(f.relative_to(root)) for f in sorted(root.rglob("*.py"))
             if "map_groups(" in f.read_text(encoding="utf-8")]
     assert hits == []
+
+
+def test_one_chunk_combine_and_one_whitespace_split_in_library():
+    """``vhash.as_array`` is the library's one ChunkedArray check and
+    ``textstats.ws_split`` its one whitespace tokenizer: no other
+    function may test ``isinstance(..., pa.ChunkedArray)`` or call
+    ``utf8_split_whitespace``."""
+    import ast
+    import pathlib
+
+    import json_remedy_ray
+
+    root = pathlib.Path(json_remedy_ray.__file__).parent
+    found = []
+    for f in sorted(root.rglob("*.py")):
+        tree = ast.parse(f.read_text(encoding="utf-8"))
+        owner = {}                  # node -> innermost enclosing function
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner[node] = fn.name
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+            if name == "isinstance" and "ChunkedArray" in ast.unparse(node):
+                what = "ChunkedArray check"
+            elif name == "utf8_split_whitespace":
+                what = "utf8_split_whitespace"
+            else:
+                continue
+            found.append((what, f.relative_to(root).as_posix(),
+                          owner.get(node)))
+    assert sorted(found) == [
+        ("ChunkedArray check", "functions/vhash.py", "as_array"),
+        ("utf8_split_whitespace", "stages/textstats.py", "ws_split"),
+    ]

@@ -68,15 +68,15 @@ def test_components_min_label_raises_on_non_convergence(ray_session):
 
     from json_remedy_ray.stages.dedup import components_min_label
 
-    # a 300-node chain without pointer doubling needs ~300 rounds;
-    # max_iters=5 must raise, never return a wrong mapping silently
+    # pointer doubling needs >= log2(300) ~ 8 rounds on a 300-node
+    # chain; max_iters=2 must raise, never return a wrong mapping silently
     n = 300
     pairs = rd.from_pandas(pd.DataFrame({
         "doc_a": np.arange(n - 1, dtype=np.int64),
         "doc_b": np.arange(1, n, dtype=np.int64),
     }))
     with pytest.raises(RuntimeError, match="did not converge"):
-        components_min_label(pairs, max_iters=5, pointer_doubling=False)
+        components_min_label(pairs, max_iters=2)
 
 
 def test_simhash_identical_run_emits_chain_not_allpairs(ray_session):
