@@ -20,7 +20,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data as rd
-from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
 # DuckDB ROUND() is half-AWAY-from-zero; Arrow's default is half-to-even —
 # every scaled-integer oracle sum must use the DuckDB mode or exact .5
@@ -78,9 +77,15 @@ from json_remedy_ray.functions.vhash import as_array
 from json_remedy_ray.stages.heuristics import STOPWORDS, heuristics_batch
 from json_remedy_ray.stages.langid import LangIdScorer
 from json_remedy_ray.stages.perplexity import PerplexityScorer
+from json_remedy_ray.stages.rank import (
+    column_quantiles,
+    global_rank,
+    kth_keys,
+    order_u64,
+)
 from json_remedy_ray.stages.repair_stage import make_repair_fn
 from json_remedy_ray.stages.scrub import scrub_batch
-from json_remedy_ray.stages.textstats import ws_split
+from json_remedy_ray.stages.textstats import ws_split, ws_split_lower
 from json_remedy_ray.state.partitioning import bucket_exchange, default_n_buckets
 
 
@@ -129,6 +134,8 @@ def _partial_agg(ds: rd.Dataset, partial_fn, keys: list[str], aggs: dict[str, st
     if pdf.empty:
         # an empty input yields a COLUMN-LESS frame; groupby would raise
         return pd.DataFrame({c: [] for c in [*keys, *aggs]})
+    if not aggs:                # a DISTINCT merge
+        return pdf.drop_duplicates(ignore_index=True)
     # dropna=False: a NULL key is one group, as in SQL's GROUP BY
     return pdf.groupby(keys, as_index=False, dropna=False).agg(aggs)
 
@@ -883,8 +890,7 @@ def _hash32(ids: np.ndarray) -> np.ndarray:
             % np.uint64(4294967296))
 
 
-def epoch_expand_documents(sf_dir: str, budget_mult: int = 3,
-                           pull_cap: int = 1 << 22, nb: int = 1 << 16):
+def epoch_expand_documents(sf_dir: str, budget_mult: int = 3):
     """MATERIALIZE the epoch plan (source_epoch_plan) into the actual
     training multiset: every doc of a source appears ``full_epochs``
     times, plus one extra copy for the source's first
@@ -894,130 +900,45 @@ def epoch_expand_documents(sf_dir: str, budget_mult: int = 3,
     source, epoch).
 
     SHUFFLE-FREE shape: a source-keyed exchange would co-locate a
-    WHOLE source in one reduce task (the round-3 pack_sequences
-    pathology — terabytes per task at 10^12 docs).  Instead the
-    partial-pass membership "rank < k within the source" is decided by
-    the EXACT k-th smallest composite key (hash, doc_id), found with
-    iterative per-source HISTOGRAM REFINEMENT over the 32-bit hash
-    domain (the _pack_chunked rank-cut machinery family): each round
-    one tree-merged stateless pass histograms the rows still inside
-    every unresolved source's candidate range into 65536 buckets
-    (driver state bounded by sources x 65536 counts), narrowing
-    ~2^16x per round; once a source's range holds <= PULL_CAP rows
-    the (hash, doc_id) candidates are pulled once (guarded) and the
-    threshold resolved exactly, ties broken by doc_id.  The expansion
+    WHOLE source in one reduce task (terabytes per task at 10^12
+    docs).  Instead the partial-pass membership "rank < k within the
+    source" is decided by the EXACT k-th smallest composite key (hash,
+    doc_id) per source from ``stages/rank.kth_keys``.  The expansion
     is then ONE stateless map_batches with np.repeat — every task
-    bounded by its input block, nothing source-sized anywhere, and
-    the multiset never lands on the driver.  FULL SQL oracle:
-    ROW_NUMBER over the same hash feeds a range() unnest.  A NULL
-    source is its own group (as in the plan's GROUP BY) and, as in the
-    oracle's JOIN, matches no plan row: its docs get no copies."""
+    bounded by its input block, and the multiset never lands on the
+    driver.  FULL SQL oracle: ROW_NUMBER over the same hash feeds a
+    range() unnest.  A NULL source is its own group (as in the plan's
+    GROUP BY) and, as in the oracle's JOIN, matches no plan row: its
+    docs get no copies."""
     plan = source_epoch_plan(sf_dir, budget_mult)
     plan = plan[plan["source"].notna()]
     full_by_src = {s: int(v) for s, v in zip(plan["source"],
                                              plan["full_epochs"])}
     part_by_src = {s: int(v) for s, v in zip(plan["source"],
                                              plan["n_partial_docs"])}
-    n_by_src = {s: int(v) for s, v in zip(plan["source"], plan["n_docs"])}
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "source"])
     ds = ds.materialize()   # one read, >=2 passes
 
-    PULL_CAP = int(pull_cap)    # candidate rows one resolve may pull
-    NB = int(nb)                # histogram buckets per refinement round
+    def keys(batch: pa.Table):
+        ids = _col_np(batch, "doc_id")
+        return batch["source"].cast(pa.string()), _hash32(ids), ids
 
-    def _src_arrays(batch: pa.Table):
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src_col = as_array(batch["source"].cast(pa.string()))
-        enc = pc.dictionary_encode(src_col, null_encoding="encode")
-        codes = enc.indices.to_numpy(zero_copy_only=False)
-        uniq = enc.dictionary.to_pylist()
-        return ids, src_col, codes, uniq
-
-    # ---- exact per-source partial-pass threshold ----------------------
-    # state: source -> [lo, hi, k_rem, est_rows] over the h range
-    state = {s: [0, (1 << 32) - 1, k, n_by_src.get(s, 0)]
-             for s, k in part_by_src.items() if k > 0}
-    thresholds: dict[str, tuple[int, int]] = {}
-    while state:
-        # a range narrowed to one hash value cannot narrow further:
-        # pull it whatever its row count
-        pulls = {s: v for s, v in state.items()
-                 if v[3] <= PULL_CAP or v[0] == v[1]}
-        if pulls:
-            rng = {s: (v[0], v[1]) for s, v in pulls.items()}
-
-            def collect(batch: pa.Table, rng=rng) -> pa.Table:
-                ids, src_col, codes, uniq = _src_arrays(batch)
-                lo = np.array([rng.get(s, (1, 0))[0] for s in uniq],
-                              dtype=np.int64)
-                hi = np.array([rng.get(s, (1, 0))[1] for s in uniq],
-                              dtype=np.int64)
-                h = _hash32(ids).view(np.int64)
-                m = (h >= lo[codes]) & (h <= hi[codes])
-                return pa.table({"source": src_col.filter(pa.array(m)),
-                                 "h": pa.array(h[m]),
-                                 "doc_id": pa.array(ids[m])})
-
-            cand = ds.map_batches(collect, batch_format="pyarrow",
-                                  batch_size=None).to_pandas()
-            # k_rem >= 1 guarantees candidates exist (zero-row to_pandas
-            # would also be column-less — fail loudly, not KeyError)
-            cap = sum(max(v[3], PULL_CAP) for v in pulls.values())
-            assert 0 < len(cand) <= 2 * cap, len(cand)
-            for s, (lo, hi, k_rem, _est) in list(pulls.items()):
-                sub = cand[cand["source"] == s]
-                hs = sub["h"].to_numpy()
-                ids = sub["doc_id"].to_numpy()
-                order = np.lexsort((ids, hs))
-                assert len(order) >= k_rem, (s, len(order), k_rem)
-                kth = order[k_rem - 1]
-                thresholds[s] = (int(hs[kth]), int(ids[kth]))
-                del state[s]
-        if not state:
-            break
-        # histogram round over every still-wide source at once
-        geo = {s: (v[0], (v[1] - v[0] + NB) // NB) for s, v in state.items()}
-
-        def hist(batch: pa.Table, geo=geo) -> pa.Table:
-            ids, src_col, codes, uniq = _src_arrays(batch)
-            lo = np.array([geo.get(s, (0, 0))[0] for s in uniq],
-                          dtype=np.int64)
-            width = np.array([geo.get(s, (0, 0))[1] for s in uniq],
-                             dtype=np.int64)
-            h = _hash32(ids).view(np.int64)
-            off = h - lo[codes]
-            m = (width[codes] > 0) & (off >= 0) & \
-                (off < width[codes] * NB)
-            bucket = off[m] // width[codes][m]
-            t = pa.table({"source": src_col.filter(pa.array(m)),
-                          "bucket": pa.array(bucket)})
-            g = t.group_by(["source", "bucket"]).aggregate([([], "count_all")])
-            return g.rename_columns(["source", "bucket", "cnt"])
-
-        hdf = _partial_agg(ds, hist, ["source", "bucket"], {"cnt": "sum"})
-        for s in list(state):
-            lo, hi, k_rem, _est = state[s]
-            width = (hi - lo + NB) // NB
-            sub = (hdf[hdf["source"] == s]
-                   .sort_values("bucket"))
-            cnts = sub["cnt"].to_numpy().astype(np.int64)
-            bks = sub["bucket"].to_numpy().astype(np.int64)
-            cum = np.cumsum(cnts)
-            j = int(np.searchsorted(cum, k_rem))
-            assert j < len(bks), (s, k_rem, int(cum[-1]) if len(cum) else 0)
-            before = int(cum[j - 1]) if j else 0
-            b = int(bks[j])
-            state[s] = [lo + b * width,
-                        min(hi, lo + (b + 1) * width - 1),
-                        k_rem - before, int(cnts[j])]
+    # exact per-source threshold: the n_partial_docs-th (hash, doc_id)
+    thresholds = {s: v[0] for s, v in kth_keys(
+        ds, keys, lambda s, n: [part_by_src[s]] if part_by_src.get(s)
+        else []).items() if v}
 
     # ---- one stateless expansion pass ---------------------------------
     _SCHEMA = pa.schema([("doc_id", pa.int64()), ("source", pa.string()),
                          ("epoch", pa.int64())])
 
     def expand(batch: pa.Table) -> pa.Table:
-        ids, src_col, codes, uniq = _src_arrays(batch)
+        ids = _col_np(batch, "doc_id")
+        src_col = as_array(batch["source"].cast(pa.string()))
+        enc = pc.dictionary_encode(src_col, null_encoding="encode")
+        codes = enc.indices.to_numpy(zero_copy_only=False)
+        uniq = enc.dictionary.to_pylist()
         u_full = np.array([full_by_src.get(s, 0) for s in uniq],
                           dtype=np.int64)
         th = [thresholds.get(s) for s in uniq]
@@ -1073,7 +994,7 @@ def badwords_filter_documents(sf_dir: str):
             pa.array(suf.astype(object), type=col.type),
             pa.array(suf2.astype(object), type=col.type),
             pa.scalar("", type=col.type))
-        flat, parents = ws_split(pc.utf8_lower(planted))
+        flat, parents = ws_split_lower(planted)
         hit = pc.is_in(flat, value_set=bw_arr).to_numpy(zero_copy_only=False)
         n_bad = np.bincount(parents[hit], minlength=len(batch)).astype(np.int64)
         return pa.table({
@@ -2394,13 +2315,10 @@ def quality_classifier_documents(sf_dir: str):
 def rank_docs_by_length(sf_dir: str):
     """GLOBAL SORT / exact ROW_NUMBER over the corpus by (n_chars DESC,
     doc_id) — range-partitioned distributed sort (stages/rank.py):
-    histogram pass -> driver cuts between distinct values -> bucket
-    exchange local sorts -> prefix-sum rank offsets.  The rank column
-    makes the global ORDER itself oracle-checkable (the driver compare
-    is order-insensitive, so a sorted result without ranks would not
-    verify ordering)."""
-    from json_remedy_ray.stages.rank import global_rank
-
+    order-statistic cuts (key values) -> bucket exchange local sorts
+    -> prefix-sum rank offsets.  The rank column makes the global ORDER
+    itself oracle-checkable (the driver compare is order-insensitive,
+    so a sorted result without ranks would not verify ordering)."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "n_chars"])
     return global_rank(ds, "n_chars", "doc_id")
 
@@ -2658,7 +2576,7 @@ def vocab_oov_rate(sf_dir: str, min_count: int = 5):
 
     def probe(batch: pa.Table) -> pa.Table:
         vset = _ray.get(vocab_ref)
-        flat, parents = ws_split(pc.utf8_lower(batch["text"]))
+        flat, parents = ws_split_lower(batch["text"])
         oov = pc.invert(pc.is_in(flat, value_set=vset)).to_numpy(
             zero_copy_only=False)
         n_tok = np.bincount(parents, minlength=len(batch)).astype(np.int64)
@@ -2772,7 +2690,7 @@ def top_bigrams_pmi(sf_dir: str, k: int = 20, min_count: int = 5):
                          "cnt": pa.array(cnts, type=pa.int64())})
 
     def bi_partial(batch: pa.Table) -> pa.Table:
-        flat, parents = ws_split(pc.utf8_lower(batch["text"]))
+        flat, parents = ws_split_lower(batch["text"])
         if len(parents) < 2:
             return pa.table({"a": pa.array([], type=pa.string()),
                              "b": pa.array([], type=pa.string()),
@@ -2842,7 +2760,7 @@ def tfidf_topk_terms(sf_dir: str, k: int = 5):
 
     def _doc_tokens(batch: pa.Table):
         """(doc_id repeated per token, lowered whitespace token)."""
-        flat, parents = ws_split(pc.utf8_lower(batch["text"]))
+        flat, parents = ws_split_lower(batch["text"])
         return batch["doc_id"].to_numpy(zero_copy_only=False)[parents], flat
 
     def df_partial(batch: pa.Table) -> pa.Table:
@@ -3069,16 +2987,27 @@ def corpus_bigram_nll(sf_dir: str):
     return ds2.map_batches(f, batch_format="pyarrow", batch_size=None)
 
 
+def _terciles(_group, n: int) -> list[int]:
+    """quantile_disc ranks ceil(n/3) and ceil(2n/3) (1-based)."""
+    return [(n + 2) // 3, (2 * n + 2) // 3]
+
+
+def _tercile_label(batch: pa.Table, t1, t2) -> pa.Table:
+    """``batch`` + bucket: qmean_nll's tercile, head/middle/tail."""
+    q = batch["qmean_nll"].to_numpy(zero_copy_only=False)
+    lab = np.where(q <= t1, "head", np.where(q <= t2, "middle", "tail"))
+    return batch.append_column(
+        "bucket", pa.array(lab.astype(object), type=pa.string()))
+
+
 def ccnet_ppl_buckets(sf_dir: str):
     """CCNet's head/middle/tail TERCILE split under the corpus-TRAINED
     bigram LM (the actual CCNet shape: train on the corpus, bucket by
     perplexity terciles; Wenzek et al. 2020).  Per-doc score is the
     integer mean micro-nat NLL (exact both sides); terciles come from
-    the per-block-histogram exact-quantile machinery (ceil(q*n)
-    quantile_disc rule) — no global sort, three bounded passes.  FULL
-    composed oracle over the corpus_bigram_nll CTE."""
-    import math  # noqa: F401
-
+    ``stages/rank.column_quantiles`` (ceil(q*n) quantile_disc rule) —
+    no global sort, three bounded passes.  FULL composed oracle over
+    the corpus_bigram_nll CTE."""
     scored0 = corpus_bigram_nll(sf_dir)
     scored0 = scored0.materialize()
 
@@ -3092,34 +3021,9 @@ def ccnet_ppl_buckets(sf_dir: str):
     scored = scored0.map_batches(qmean_b, batch_format="pyarrow",
                                  batch_size=None).materialize()
 
-    def hist(batch: pa.Table) -> pa.Table:
-        g = batch.group_by("qmean_nll").aggregate([("qmean_nll", "count")])
-        return g.rename_columns(["qmean_nll", "cnt"])
-
-    pdf = _partial_agg(scored, hist, ["qmean_nll"],
-                       {"cnt": "sum"}).sort_values("qmean_nll")
-    # distinct qmean values are capped by the micro-nat resolution
-    # (~ln(corpus)*1e6) independent of corpus size; past the bound use
-    # the iterative histogram refinement (epoch_expand_documents)
-    assert len(pdf) <= (1 << 25), len(pdf)
-    cum = pdf["cnt"].to_numpy().cumsum()
-    vals = pdf["qmean_nll"].to_numpy()
-    n = int(cum[-1])
-    t1 = int(vals[np.searchsorted(cum, max(1, (n + 2) // 3), side="left")])
-    t2 = int(vals[np.searchsorted(cum, max(1, (2 * n + 2) // 3),
-                                  side="left")])
-
-    def label(batch: pa.Table) -> pa.Table:
-        q = batch["qmean_nll"].to_numpy(zero_copy_only=False)
-        lab = np.where(q <= t1, "head",
-                       np.where(q <= t2, "middle", "tail"))
-        return pa.table({"doc_id": batch["doc_id"],
-                         "qmean_nll": batch["qmean_nll"],
-                         "bucket": pa.array(lab.astype(object),
-                                            type=pa.string())})
-
-    return scored.map_batches(label, batch_format="pyarrow",
-                              batch_size=None)
+    t1, t2 = column_quantiles(scored, "qmean_nll", _terciles)[None]
+    return scored.map_batches(lambda b: _tercile_label(b, t1, t2),
+                              batch_format="pyarrow", batch_size=None)
 
 
 def ppl_buckets_by_source(sf_dir: str):
@@ -3128,12 +3032,12 @@ def ppl_buckets_by_source(sf_dir: str):
     language; the stratum here is the source column), so a hard source
     never floods another's tail.  Same corpus-trained bigram LM and
     integer mean micro-nat NLL as ccnet_ppl_buckets; per-source
-    thresholds come from ONE (source, qmean) histogram partial
-    (tree-merged, driver rows bounded by sources x distinct scores)
-    with the same ceil(q*n) quantile_disc rule applied per stratum,
+    thresholds come from ``stages/rank.column_quantiles`` grouped by
+    source, with the same ceil(q*n) quantile_disc rule per stratum,
     then broadcast as an O(n_sources) dict into a stateless label
     map.  FULL composed oracle: the nll CTE joined back to documents
-    for the source, quantile_disc ... GROUP BY source."""
+    for the source, quantile_disc ... GROUP BY source; as in its JOIN,
+    a NULL source's docs get no label row."""
     from json_remedy_ray.stages.perplexity import (
         _BIGRAM_SEP,
         bigram_count_partial,
@@ -3165,52 +3069,15 @@ def ppl_buckets_by_source(sf_dir: str):
     scored = ds.map_batches(score, batch_format="pyarrow", batch_size=None)
     scored = scored.materialize()
 
-    def hist(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["source", "qmean_nll"]).aggregate(
-            [([], "count_all")])
-        return g.rename_columns(["source", "qmean_nll", "cnt"])
-
-    hdf = _partial_agg(scored, hist, ["source", "qmean_nll"],
-                       {"cnt": "sum"})
-    # driver bound: distinct qmean values are capped by the micro-nat
-    # resolution (~ln(corpus)·1e6 ≈ 3e7) INDEPENDENT of corpus size,
-    # but sources x that cap can still exceed the driver — past the
-    # bound, find each stratum's terciles with the iterative histogram
-    # refinement epoch_expand_documents uses (exact kth over a huge
-    # domain with sources x 65536 driver state)
-    if len(hdf) > (1 << 25):
-        raise ValueError(
-            f"ppl_buckets_by_source: {len(hdf)} (source, qmean) rows "
-            "exceeds the driver histogram bound; switch to the "
-            "iterative histogram refinement (epoch_expand_documents "
-            "pattern) for the per-stratum thresholds")
-    th: dict[str, tuple[int, int]] = {}
-    for s, sub in hdf.groupby("source"):
-        sub = sub.sort_values("qmean_nll")
-        cum = sub["cnt"].to_numpy().cumsum()
-        vals = sub["qmean_nll"].to_numpy()
-        n = int(cum[-1])
-        t1 = int(vals[np.searchsorted(cum, max(1, (n + 2) // 3),
-                                      side="left")])
-        t2 = int(vals[np.searchsorted(cum, max(1, (2 * n + 2) // 3),
-                                      side="left")])
-        th[s] = (t1, t2)
+    th = column_quantiles(scored, "qmean_nll", _terciles, group_col="source")
 
     def label(batch: pa.Table) -> pa.Table:
-        src_col = as_array(batch["source"])
-        enc = pc.dictionary_encode(src_col)
+        batch = batch.filter(pc.is_valid(batch["source"]))
+        enc = pc.dictionary_encode(as_array(batch["source"]))
         codes = enc.indices.to_numpy(zero_copy_only=False)
-        uniq = enc.dictionary.to_pylist()
-        u_t1 = np.array([th[s][0] for s in uniq], dtype=np.int64)
-        u_t2 = np.array([th[s][1] for s in uniq], dtype=np.int64)
-        q = batch["qmean_nll"].to_numpy(zero_copy_only=False)
-        lab = np.where(q <= u_t1[codes], "head",
-                       np.where(q <= u_t2[codes], "middle", "tail"))
-        return pa.table({"doc_id": batch["doc_id"],
-                         "source": src_col,
-                         "qmean_nll": batch["qmean_nll"],
-                         "bucket": pa.array(lab.astype(object),
-                                            type=pa.string())})
+        t = np.array([th[s] for s in enc.dictionary.to_pylist()],
+                     dtype=np.int64).reshape(-1, 2)[codes]
+        return _tercile_label(batch, t[:, 0], t[:, 1])
 
     return scored.map_batches(label, batch_format="pyarrow",
                               batch_size=None)
@@ -3241,7 +3108,7 @@ def nb_source_classifier(sf_dir: str):
     ds = _read(sf_dir, "documents", columns=["doc_id", "source", "text"])
 
     def tok_partial(batch: pa.Table) -> pa.Table:
-        flat, parents = ws_split(pc.utf8_lower(batch["text"]))
+        flat, parents = ws_split_lower(batch["text"])
         src = as_array(batch["source"])
         t = pa.table({"token": flat, "source": src.take(pa.array(parents)),
                       "c": pa.array(np.ones(len(parents), dtype=np.int64))})
@@ -3287,7 +3154,7 @@ def nb_source_classifier(sf_dir: str):
     def score(batch: pa.Table) -> pa.Table:
         vocab_v, w_ext, classes_v, pr = ray.get(model_ref)
         n = batch.num_rows
-        flat, parents = ws_split(pc.utf8_lower(batch["text"]))
+        flat, parents = ws_split_lower(batch["text"])
         scores = np.tile(pr, (n, 1))
         if len(flat):
             idx = pc.fill_null(pc.index_in(flat, value_set=vocab_v),
@@ -3411,45 +3278,29 @@ _QUANTILES = (0.25, 0.5, 0.75, 0.9, 0.99)
 
 
 def docs_length_quantiles(sf_dir: str):
-    """EXACT distributed quantiles of a bounded-cardinality numeric
-    column with NO sort: per-block value HISTOGRAMS (Arrow group_by
-    combiner) -> tiny driver merge -> cumulative counts -> the value at
-    1-based index ceil(q*n) (empirically DuckDB's quantile_disc rule,
-    verified on three cardinalities).  A global ds.sort for a quantile
-    is the classic all-to-all a 100 TB run must not pay when the value
-    domain is small (document lengths, scores, counts); the histogram
-    moves one row per distinct value per block."""
-    import math
-
+    """EXACT distributed quantiles with NO sort: the value at 1-based
+    index ceil(q*n) (empirically DuckDB's quantile_disc rule, verified
+    on three cardinalities) from ``stages/rank.column_quantiles``.  A
+    global ds.sort for a quantile is the all-to-all a 100 TB run must
+    not pay."""
     ds = _read(sf_dir, "documents", columns=["n_chars"])
-
-    def hist(batch: pa.Table) -> pa.Table:
-        g = batch.group_by("n_chars").aggregate([("n_chars", "count")])
-        return g.rename_columns(["n_chars", "cnt"])
-
-    pdf = _partial_agg(ds, hist, ["n_chars"], {"cnt": "sum"}).sort_values("n_chars")
     cols = [f"p{int(q * 100)}" for q in _QUANTILES]
-    if pdf.empty:
+    got = column_quantiles(ds, "n_chars", lambda _, n: [
+        int(np.ceil(q * n)) for q in _QUANTILES])
+    if not got:
         # parity with quantile_disc over zero rows: one row of NULLs
         return pd.DataFrame([{c: np.nan for c in cols}])
-    values = pdf["n_chars"].to_numpy()
-    cum = pdf["cnt"].to_numpy().cumsum()
-    n = int(cum[-1])
-    out = {}
-    for q, c in zip(_QUANTILES, cols):
-        idx = max(1, math.ceil(q * n))
-        pos = int(np.searchsorted(cum, idx, side="left"))
-        out[c] = int(values[pos])
-    return pd.DataFrame([out]).astype("int64")
+    return pd.DataFrame([dict(zip(cols, got[None]))]).astype("int64")
 
 
 def docs_length_quantiles_sketch(sf_dir: str, k: int = 2048):
     """Approximate length quantiles from the deterministic bottom-k row
-    sample (stages/sketch.quantiles_bottomk) — the documented SCALE
-    path beside the exact histogram path for value domains too large
-    for one-row-per-distinct-value partials.  Rows-only in the gate by
-    design (sample-defined values); gates = the exact twin's SQL oracle
-    + the rank-error envelope pytest (tests/test_sketch_quantiles.py)."""
+    sample (stages/sketch.quantiles_bottomk) — one pass and k rows
+    whatever the value domain, beside the exact path, which needs
+    narrowing rounds once a domain outgrows its bucket bound.
+    Rows-only in the gate by design (sample-defined values); gates = the
+    exact twin's SQL oracle + the rank-error envelope pytest
+    (tests/test_sketch_quantiles.py)."""
     from json_remedy_ray.stages.sketch import quantiles_bottomk
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "n_chars"])
@@ -3686,8 +3537,9 @@ def customers_without_orders(sf_dir: str, min_price: float = 450_000.0):
     """ANTI JOIN: customers with no HIGH-VALUE order (>= min_price).
     Broadcast form: per-block DISTINCT qualifying-custkey partials
     (bounded by customer cardinality, far smaller than the orders table)
-    merge on the driver, the key set is ray.put once, and every customer
-    block filters against it with one np.isin — no shuffle.  Valid while
+    tree-merge on their way to the driver, the key set is ray.put once,
+    and every customer block filters against it with one np.isin — no
+    shuffle.  Valid while
     distinct keys x 8 B fit workers; past that crossover, co-partition
     both sides on the key and anti-join per group (same cogroup shape as
     the joins above)."""
@@ -3696,9 +3548,9 @@ def customers_without_orders(sf_dir: str, min_price: float = 450_000.0):
                                           pa.scalar(min_price)))
         return b.group_by("o_custkey").aggregate([])
 
-    keys_pdf = (_read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
-                .map_batches(partial, batch_format="pyarrow", batch_size=None)
-                .to_pandas().drop_duplicates())
+    keys_pdf = _partial_agg(
+        _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"]),
+        partial, ["o_custkey"], {})
     keys_ref = ray.put(np.sort(keys_pdf["o_custkey"].to_numpy().astype(np.int64)))
 
     ds = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
@@ -4533,19 +4385,15 @@ def perplexity_documents_sql(sf_dir: str):
 
 def _pack_chunked(read_fn, budget: int, chunk_rows: int,
                   with_text: bool, count_fn=None):
-    """Chunked two-phase SEQUENCE PACKING core (round-3 verdict #1: the
-    previous shape put an ENTIRE source in one pandas group — a
-    guaranteed OOM at scale).  Exact greedy semantics, bounded tasks:
+    """Chunked two-phase SEQUENCE PACKING core: exact greedy semantics,
+    bounded tasks (no task holds a whole source):
 
       1. token counts per doc (vectorized map_batches);
       2. RANK-partition each source by doc_id into ordered chunks of
          ~``chunk_rows`` docs through the bucket exchange.  Chunk cuts
-         are quantiles of a per-source doc_id HISTOGRAM (4096 buckets
-         over the sign-flipped uint64 id space, which is monotone in
-         int64 order; linear interpolation inside a bucket), computed
-         by the bounded tree-merged combiner — so a skewed id space
-         still yields ~chunk_rows docs per chunk (advisor round-4: the
-         previous VALUE-range cuts assumed near-uniform ids).  Only a
+         are per-source doc_id ranks from ``stages/rank.kth_keys``,
+         approximate to within ``chunk_rows`` docs — so a skewed id
+         space still yields ~chunk_rows docs per chunk.  Only a
          point-mass id distribution (one value holding > 8x chunk_rows
          docs) is unsplittable; the reduce asserts that ceiling.
       3. ONE raw Ray task per chunk runs the greedy scan; the carry
@@ -4585,161 +4433,21 @@ def _pack_chunked(read_fn, budget: int, chunk_rows: int,
 
     toks = ds.map_batches(tokens, batch_format="pyarrow", batch_size=None)
 
-    # RANK-based chunk cuts (advisor round-4: VALUE-range cuts assumed
-    # near-uniform ids) by ITERATIVE HISTOGRAM REFINEMENT over the
-    # (doc_id, source) columns only:
-    #   round 1 — one tree-merged scan histograms the FULL sign-flipped
-    #   uint64 id space into 4096 top-12-bit buckets per source (the
-    #   sign flip maps int64 order onto uint64 order; this scan also
-    #   yields the sources and their totals, so no min/max pre-pass);
-    #   rounds 2+ — ONLY buckets that still contain an unresolved cut
-    #   AND hold > chunk_rows docs are re-histogrammed 4096x finer, so
-    #   <= 6 extra scans resolve any int64 span down to single values.
-    # Hash-uniform ids resolve in the single round-1 scan; a skewed id
-    # space costs one cheap extra scan per 12 bits of clustering.  Cuts
-    # interpolate inside their final bucket, so a chunk holds at most
-    # chunk_rows + (final bucket count <= chunk_rows) docs; only a
-    # point-mass id (ONE value holding > 8x chunk_rows docs) is
-    # unsplittable and trips the reduce assert.  Driver state is
-    # bounded at (cuts per source) entries at any corpus size.
-    _SIGN = np.uint64(1 << 63)
-    _NHB = 4096
-    _W0 = 1 << 52                    # round-1 bucket width
+    # chunk cuts: ranks j*n/k of the sign-flipped doc_id per source,
+    # read from the (doc_id, source) columns only
+    def keys(batch: pa.Table):
+        return batch["source"], order_u64(_col_np(batch, "doc_id")), None
 
-    def resolve_targets(hb, cnt, lo, w, base_rank, targets, force):
-        """Resolve one interval's cut ranks against its bucket counts:
-        returns (resolved cut values, still-pending (lo, hi, base_rank,
-        targets) items grouped by overloaded bucket)."""
-        cum = np.cumsum(cnt)
-        cuts: list[int] = []
-        regroup: dict[int, list[int]] = {}
-        for t in targets:
-            t_rel = t - base_rank
-            bpos = int(np.searchsorted(cum, t_rel, side="left"))
-            bpos = min(bpos, len(cnt) - 1)
-            prev = int(cum[bpos - 1]) if bpos > 0 else 0
-            b, c = int(hb[bpos]), int(cnt[bpos])
-            if c <= chunk_rows or w == 1 or force:
-                # interpolation error <= final bucket count <= chunk_rows
-                cuts.append((lo + b * w
-                             + min(w - 1, ((t_rel - prev) * w) // max(1, c)))
-                            & 0xFFFFFFFFFFFFFFFF)
-            else:
-                regroup.setdefault(bpos, []).append(t)
-        items = []
-        for bpos, ts in regroup.items():
-            b = int(hb[bpos])
-            prev = int(cum[bpos - 1]) if bpos > 0 else 0
-            items.append((lo + b * w, lo + (b + 1) * w,
-                          base_rank + prev, ts))
-        return cuts, items
+    def ranks(_src, n: int) -> list[int]:
+        k = max(1, -(-n // chunk_rows))
+        return [(j * n) // k for j in range(1, k)]
 
-    def hist0(batch: pa.Table) -> pa.Table:
-        # pure-bincount block histogram (a hash group_by on a string key
-        # per block is measurably slower at this row count)
-        x = _col_np(batch, "doc_id").view(np.uint64) ^ _SIGN
-        hb = (x >> np.uint64(52)).astype(np.int64)
-        src = as_array(batch["source"])
-        enc = src.dictionary_encode()
-        codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        nsrc = len(enc.dictionary)
-        counts = np.bincount(codes * _NHB + hb, minlength=nsrc * _NHB)
-        nz = np.nonzero(counts)[0]
-        return pa.table({
-            "source": enc.dictionary.take(pa.array(nz // _NHB)),
-            "hb": pa.array(nz % _NHB),
-            "cnt": pa.array(counts[nz].astype(np.int64)),
-        })
-
-    stats0 = _partial_agg(read_fn(["doc_id", "source"]), hist0,
-                          ["source", "hb"], {"cnt": "sum"})
-    stats0 = stats0.sort_values(["source", "hb"]).reset_index(drop=True)
-    sources = sorted(stats0["source"].unique().tolist())
-    resolved: list[list[int]] = [[] for _ in sources]
-    # pending[s] = list of (lo, hi, base_rank, [target ranks]) Python ints
-    pending: list[list] = []
-    nch_list: list[int] = []
-    for si, s in enumerate(sources):
-        g = stats0[stats0["source"] == s]
-        hb = g["hb"].to_numpy(dtype=np.int64)
-        cnt = g["cnt"].to_numpy(dtype=np.int64)
-        total = int(cnt.sum())
-        k = max(1, -(-total // chunk_rows))
-        nch_list.append(k)
-        if k == 1:
-            pending.append([])
-            continue
-        targets = [(j * total) // k for j in range(1, k)]
-        cuts, items = resolve_targets(hb, cnt, 0, _W0, 0, targets, False)
-        resolved[si].extend(cuts)
-        pending.append(items)
-    nch = np.array(nch_list, dtype=np.int64)
-
-    for _round in range(7):
-        if not any(pending):
-            break
-        iv_lo = [np.array([p[0] for p in pending[si]], dtype=np.uint64)
-                 for si in range(len(sources))]
-        iv_him1 = [np.array([p[1] - 1 for p in pending[si]], dtype=np.uint64)
-                   for si in range(len(sources))]       # inclusive bound
-        iv_w = [np.array([max(1, (p[1] - p[0]) // _NHB)
-                          for p in pending[si]], dtype=np.uint64)
-                for si in range(len(sources))]
-
-        def hist(batch: pa.Table) -> pa.Table:
-            vs = pa.array(sources, type=batch.schema.field("source").type)
-            code = pc.index_in(batch["source"], value_set=vs).to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            x = _col_np(batch, "doc_id").view(np.uint64) ^ _SIGN
-            sc, iv, hb = [], [], []
-            for si in range(len(sources)):
-                if not len(iv_lo[si]):
-                    continue
-                m = code == si
-                if not m.any():
-                    continue
-                xs = x[m]
-                i = np.searchsorted(iv_lo[si], xs, side="right") - 1
-                ok = (i >= 0)
-                ii = np.maximum(i, 0)
-                ok &= xs <= iv_him1[si][ii]
-                if not ok.any():
-                    continue
-                i = ii[ok]
-                b = ((xs[ok] - iv_lo[si][i]) // iv_w[si][i]).view(np.int64)
-                sc.append(np.full(len(i), si, dtype=np.int64))
-                iv.append(i.astype(np.int64))
-                hb.append(b)
-            if not sc:
-                return pa.table({"sc": pa.array([], pa.int64()),
-                                 "iv": pa.array([], pa.int64()),
-                                 "hb": pa.array([], pa.int64()),
-                                 "cnt": pa.array([], pa.int64())})
-            t = pa.table({"sc": pa.array(np.concatenate(sc)),
-                          "iv": pa.array(np.concatenate(iv)),
-                          "hb": pa.array(np.concatenate(hb))})
-            g = t.group_by(["sc", "iv", "hb"]).aggregate([([], "count_all")])
-            return g.rename_columns(["sc", "iv", "hb", "cnt"])
-
-        stats = _partial_agg(read_fn(["doc_id", "source"]), hist,
-                             ["sc", "iv", "hb"], {"cnt": "sum"})
-        stats = stats.sort_values(["sc", "iv", "hb"]).reset_index(drop=True)
-        nxt: list[list] = [[] for _ in sources]
-        for si in range(len(sources)):
-            for ivx, (lo, hi, base_rank, targets) in enumerate(pending[si]):
-                g = stats[(stats["sc"] == si) & (stats["iv"] == ivx)]
-                cuts, items = resolve_targets(
-                    g["hb"].to_numpy(dtype=np.int64),
-                    g["cnt"].to_numpy(dtype=np.int64),
-                    lo, int(iv_w[si][ivx]), base_rank, targets,
-                    force=(_round == 6))
-                resolved[si].extend(cuts)
-                nxt[si].extend([(l, min(hi, h), br, ts)
-                                for (l, h, br, ts) in items])
-        pending = nxt
-
-    src_cuts = [np.sort(np.array(resolved[si], dtype=np.uint64))
-                for si in range(len(sources))]
+    cuts = kth_keys(read_fn(["doc_id", "source"]), keys, ranks,
+                    slack=lambda _n: chunk_rows)
+    sources = sorted(cuts)
+    src_cuts = [np.sort(np.array([c for c, _ in cuts[s]], dtype=np.uint64))
+                for s in sources]
+    nch = np.array([len(c) + 1 for c in src_cuts], dtype=np.int64)
     base = np.concatenate(([0], np.cumsum(nch)))[:-1]
     total_chunks = int(nch.sum())
 
@@ -4747,7 +4455,7 @@ def _pack_chunked(read_fn, budget: int, chunk_rows: int,
         vs = pa.array(sources, type=tbl.schema.field("source").type)
         code = pc.index_in(tbl["source"], value_set=vs).to_numpy(
             zero_copy_only=False).astype(np.int64)
-        x = _col_np(tbl, "doc_id").view(np.uint64) ^ _SIGN
+        x = order_u64(_col_np(tbl, "doc_id"))
         flat = np.empty(len(x), dtype=np.int64)
         for si in range(len(sources)):        # sources are low-cardinality
             m = code == si
@@ -4757,8 +4465,8 @@ def _pack_chunked(read_fn, budget: int, chunk_rows: int,
         return flat, tbl
 
     def red(t: pa.Table) -> pa.Table:
-        # rank cuts bound a chunk at ~2x chunk_rows (target + final
-        # bucket interpolation error); the only way past 8x is a
+        # rank cuts bound a chunk at ~2x chunk_rows (target + the at
+        # most chunk_rows docs of a cut's bucket); the only way past 8x is a
         # POINT-MASS doc_id — one value carrying > 8x chunk_rows docs —
         # which no value cut can split.  Fail loudly instead of
         # silently re-creating the unbounded-task memory problem.
@@ -5074,14 +4782,11 @@ def ppl_percentile_filter(sf_dir: str):
     split): keep documents whose perplexity is at or below the corpus
     MEDIAN.  The per-doc score is the integer mean micro-nat NLL
     (nll_micro // n_pairs — exact on both sides, no float compare); the
-    median comes from the per-block-histogram exact-quantile machinery
-    (same ceil(q*n) quantile_disc rule as docs_length_quantiles), so no
-    global sort.  Two passes over the corpus by construction — a global
-    threshold cannot be known in one pass; a production run writes the
-    scored table to parquet once and reads it for both (the resumable
-    checkpoint pattern)."""
-    import math
-
+    median comes from ``stages/rank.column_quantiles`` (same ceil(q*n)
+    quantile_disc rule as docs_length_quantiles), so no global sort.
+    A global threshold cannot be known in one pass, so the small scored
+    table (doc_id, qmean_nll) is materialized: the corpus is scored once
+    and the threshold and filter passes read the scores."""
     scorer = PerplexityScorer()
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -5093,19 +4798,11 @@ def ppl_percentile_filter(sf_dir: str):
         return pa.table({"doc_id": t["doc_id"],
                          "qmean_nll": pa.array(qmean, type=pa.int64())})
 
-    scored = ds.map_batches(qmean_batch, batch_format="pyarrow", batch_size=None)
+    scored = ds.map_batches(qmean_batch, batch_format="pyarrow",
+                            batch_size=None).materialize()
 
-    def hist(batch: pa.Table) -> pa.Table:
-        g = batch.group_by("qmean_nll").aggregate([("qmean_nll", "count")])
-        return g.rename_columns(["qmean_nll", "cnt"])
-
-    pdf = _partial_agg(scored, hist, ["qmean_nll"], {"cnt": "sum"}).sort_values("qmean_nll")
-    # same micro-nat domain cap + refinement swap note as ccnet_ppl_buckets
-    assert len(pdf) <= (1 << 25), len(pdf)
-    cum = pdf["cnt"].to_numpy().cumsum()
-    n = int(cum[-1])
-    pos = int(np.searchsorted(cum, max(1, math.ceil(0.5 * n)), side="left"))
-    median = int(pdf["qmean_nll"].to_numpy()[pos])
+    median = int(column_quantiles(scored, "qmean_nll",
+                                  lambda _, n: [(n + 1) // 2])[None][0])
 
     def keep(batch: pa.Table) -> pa.Table:
         return batch.filter(pc.less_equal(batch["qmean_nll"], median))
@@ -5443,48 +5140,30 @@ def daily_active_users(sf_dir: str):
 
 def value_quantiles_by_type(sf_dir: str):
     """PER-GROUP exact discrete quantiles (p25/p50/p75 of `value` per
-    event_type) — grouped order statistics without a sort shuffle: each
-    block emits (event_type, value, count) partials, the driver merges
-    (bounded by distinct (type, value) pairs — the docs_length_quantiles
-    argument; past that crossover the scale path is a per-group KLL-type
-    sketch) and picks the value at rank ceil(q*n), which is exactly
-    DuckDB's quantile_disc index rule (probed: n=4 p25 -> index 0, n=5
-    p25 -> index 1).  Outputs are actual data values, so the float
-    compare is exact."""
+    event_type, a NULL event_type being one group) from
+    ``stages/rank.column_quantiles``: the value at rank ceil(q*n),
+    exactly DuckDB's quantile_disc index rule (probed: n=4 p25 -> index
+    0, n=5 p25 -> index 1).  Outputs are actual data values, so the
+    float compare is exact."""
     ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(pc.is_valid(batch["value"]))
-        g = batch.group_by(["event_type", "value"]).aggregate([("value", "count")])
-        return g.rename_columns(["event_type", "value", "cnt"])
-
-    pdf = (ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-           .to_pandas().groupby(["event_type", "value"], as_index=False)["cnt"].sum())
-    out = []
-    for et, g in pdf.groupby("event_type", sort=True):
-        g = g.sort_values("value")
-        vals = g["value"].to_numpy()
-        cum = np.cumsum(g["cnt"].to_numpy())
-        n = int(cum[-1])
-        row = {"event_type": et}
-        for name, q in [("q25", 0.25), ("q50", 0.5), ("q75", 0.75)]:
-            rank = int(np.ceil(q * n))          # 1-based; q is dyadic-exact
-            row[name] = float(vals[np.searchsorted(cum, rank)])
-        out.append(row)
-    return pd.DataFrame(out, columns=["event_type", "q25", "q50", "q75"])
+    got = column_quantiles(ds, "value", lambda _, n: [
+        int(np.ceil(q * n)) for q in (0.25, 0.5, 0.75)],  # q dyadic-exact
+        group_col="event_type", dtype=np.float64)
+    out = pd.DataFrame([[et, *v] for et, v in got.items()],
+                       columns=["event_type", "q25", "q50", "q75"])
+    return out.sort_values("event_type").reset_index(drop=True)
 
 
 def distinct_event_types(sf_dir: str):
     """Distinct values of one column (`ds.unique`-shaped; implemented as
-    per-block distinct partials + driver merge — same combiner shape as
-    the aggregates)."""
+    per-block distinct partials + the tree-merged driver combiner of the
+    aggregates)."""
     ds = _read(sf_dir, "events", columns=["event_type"])
 
     def partial(batch: pa.Table) -> pa.Table:
         return batch.group_by("event_type").aggregate([])
 
-    partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-    pdf = partials.to_pandas().drop_duplicates()
+    pdf = _partial_agg(ds, partial, ["event_type"], {})
     return pdf.sort_values("event_type").reset_index(drop=True)
 
 

@@ -35,14 +35,14 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from json_remedy_ray.functions.vhash import as_array
-from json_remedy_ray.stages.textstats import ws_split
+from json_remedy_ray.stages.textstats import ws_split_lower
 
 
 def token_count_partial(batch: pa.Table, target_mask: np.ndarray,
                         text_col: str = "text") -> pa.Table:
     """(token, ct, ca) for one block: ct counts occurrences inside
     target-slice docs, ca counts all occurrences."""
-    flat, parents = ws_split(pc.utf8_lower(batch[text_col]))
+    flat, parents = ws_split_lower(batch[text_col])
     is_t = target_mask[parents].astype(np.int64)
     t = pa.table({"token": flat, "ct": pa.array(is_t),
                   "ca": pa.array(np.ones(len(is_t), dtype=np.int64))})
@@ -66,7 +66,7 @@ def score_batch(batch: pa.Table, vocab: pa.Array, wt: np.ndarray,
                 id_col: str = "doc_id", text_col: str = "text") -> pa.Table:
     """(doc_id, dsir_micro, n_tokens) for one block against the
     broadcast (vocab, weight) table."""
-    flat, parents = ws_split(pc.utf8_lower(batch[text_col]))
+    flat, parents = ws_split_lower(batch[text_col])
     n = batch.num_rows
     # large_string corpora yield large_string tokens; match the vocab
     # type (cast the small side) or index_in rejects the lookup
@@ -113,7 +113,7 @@ def bucket_count_partial(batch: pa.Table, target_mask: np.ndarray,
                          n_buckets: int,
                          text_col: str = "text") -> pa.Table:
     """(bucket, ct, ca) for one block — at most n_buckets rows."""
-    flat, parents = ws_split(pc.utf8_lower(batch[text_col]))
+    flat, parents = ws_split_lower(batch[text_col])
     if not len(flat):
         return pa.table({"bucket": pa.array([], pa.int64()),
                          "ct": pa.array([], pa.int64()),
@@ -133,7 +133,7 @@ def score_batch_hashed(batch: pa.Table, wt_full: np.ndarray,
     """(doc_id, dsir_micro, n_tokens) against the dense bucket-weight
     array (every scored token's bucket is observed by construction —
     it contributed to ca in pass 1)."""
-    flat, parents = ws_split(pc.utf8_lower(batch[text_col]))
+    flat, parents = ws_split_lower(batch[text_col])
     n = batch.num_rows
     if len(flat):
         bk = md5_bucket_of(flat, n_buckets)

@@ -15,6 +15,7 @@ unprojected until needed (prune at the read).
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import struct
 
 import numpy as np
@@ -120,12 +121,7 @@ class ImageDecodeStage:
     def __init__(self, payload_col: str = "payload", target_size: int = 64):
         self.payload_col = payload_col
         self.target_size = target_size
-        try:  # pragma: no cover - not available in this container
-            from PIL import Image  # noqa: F401
-
-            self._pil = True
-        except ImportError:
-            self._pil = False
+        self._pil = importlib.util.find_spec("PIL") is not None
 
     def _decode_dims(self, data: bytes) -> tuple[int, int, str]:
         # REAL header decode first (PNG IHDR / JPEG SOFn — pure Python,

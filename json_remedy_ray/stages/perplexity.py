@@ -179,9 +179,9 @@ _BIGRAM_SEP = "\x1f"
 def _doc_bigrams(col):
     """(w1 array, w2 array, parent doc index) for one block's
     within-doc adjacent token pairs — one split, two slices."""
-    from json_remedy_ray.stages.textstats import ws_split
+    from json_remedy_ray.stages.textstats import ws_split_lower
 
-    flat, parents = ws_split(pc.utf8_lower(col))
+    flat, parents = ws_split_lower(col)
     m = len(flat) - 1
     if m < 1:
         e = pa.array([], type=pa.string())

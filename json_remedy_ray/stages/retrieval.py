@@ -29,7 +29,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from json_remedy_ray.stages.textstats import ws_split
+from json_remedy_ray.stages.textstats import ws_split_lower
 
 K1 = 1.2
 B = 0.75
@@ -51,7 +51,7 @@ def bm25_topk(ds: rd.Dataset, terms: list[str], k: int = 20,
 
     def stats_batch(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        flat, parents = ws_split(pc.utf8_lower(batch[text_col]))
+        flat, parents = ws_split_lower(batch[text_col])
         dl = np.bincount(parents, minlength=n)
         row = {"n_docs": pa.array([n], type=pa.int64()),
                "sum_dl": pa.array([int(dl.sum())], type=pa.int64())}
@@ -70,7 +70,7 @@ def bm25_topk(ds: rd.Dataset, terms: list[str], k: int = 20,
 
     def score_batch(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        flat, parents = ws_split(pc.utf8_lower(batch[text_col]))
+        flat, parents = ws_split_lower(batch[text_col])
         dl = np.bincount(parents, minlength=n).astype(np.int64)
         norm = K1 * (1 - B + B * dl / avgdl)
         score = np.zeros(n, dtype=np.float64)

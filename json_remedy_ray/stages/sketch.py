@@ -264,8 +264,6 @@ def _mg_merge_tables(tables, k: int) -> pa.Table:
     counts add by token, the merged set re-compresses to k with a new
     subtraction offset, and offsets (undercount bounds) add — so the
     merge is associative and safe to apply as a tree."""
-    import pandas as pd
-
     live = [t for t in tables if t.num_rows]
     if not live:
         return pa.table({"token": pa.array([None], type=pa.string()),
@@ -364,9 +362,9 @@ def bottomk_sample_block(batch: pa.Table, key_col: str, value_col: str,
 def quantiles_bottomk(ds, key_col: str, value_col: str,
                       quantiles, k: int = 2048, tree_fanout: int = 64):
     """Approximate quantiles from the bottom-k row sample — the
-    documented SCALE path next to the exact histogram quantiles
-    (docs_length_quantiles), for value domains too large for a
-    one-row-per-distinct-value histogram: per-block bottom-k partials
+    one-pass path next to the exact quantiles (docs_length_quantiles,
+    stages/rank.kth_keys), which need narrowing rounds once a value
+    domain outgrows their bucket bound: per-block bottom-k partials
     (<= k rows each), driver re-selects the global k smallest hashes,
     and reads the sample's order statistics with the same 1-based
     ceil(q*k) rule as the exact path.  Standard uniform-sample bound:

@@ -58,8 +58,9 @@ def ws_split(col) -> tuple[pa.Array, np.ndarray]:
 
     Arrow's utf8_split_whitespace splits on exactly UWS_CHARS (str.split
     parity, verified incl. \\x1c-\\x1f) but keeps the empty tokens that
-    leading/trailing runs and "" leave; those are dropped here.  Null
-    rows give no tokens.  Lowered tokens: pass ``pc.utf8_lower(col)``."""
+    leading/trailing runs and "" leave, and pyarrow 16 can glue a space
+    to the last token past an unpadded buffer's end: both are cut here.
+    Null rows give no tokens.  Lowered tokens: ``ws_split_lower``."""
     col = as_array(col)
     if pa.types.is_null(col.type):
         col = col.cast(pa.string())
@@ -67,9 +68,21 @@ def ws_split(col) -> tuple[pa.Array, np.ndarray]:
     flat = _pc.list_flatten(toks)
     parents = _pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
     nonempty = _pc.binary_length(flat).to_numpy(zero_copy_only=False) > 0
-    if nonempty.all():
-        return flat, parents
-    return flat.filter(pa.array(nonempty)), parents[nonempty]
+    if not nonempty.all():
+        flat, parents = flat.filter(pa.array(nonempty)), parents[nonempty]
+    if len(flat) and flat[-1].as_py()[-1:].isspace():   # the glued space
+        last = flat[-1].as_py().rstrip()
+        flat = pa.concat_arrays([flat[:-1], pa.array([last] if last else [],
+                                                     flat.type)])
+        parents = parents[:len(flat)]
+    return flat, parents
+
+
+def ws_split_lower(col) -> tuple[pa.Array, np.ndarray]:
+    """``ws_split``, then lowered tokens (lowering adds and removes no
+    UWS_CHARS), so null-typed text gives no tokens, not an error."""
+    flat, parents = ws_split(col)
+    return _pc.utf8_lower(flat), parents
 
 
 def ws_token_count(text: str) -> int:
@@ -155,12 +168,10 @@ def gopher_repetition_batch(batch: pa.Table, text_col: str = "text") -> pa.Table
     equality is hash equality (64-bit, same collision posture as exact
     dedup's key).  All-integer counts (exact SQL oracle) plus two REAL
     ratios that are single divisions of those integers."""
-    import pyarrow.compute as pc
-
     from json_remedy_ray.functions.vhash import _mix64, _P, hash_strings
 
     n = batch.num_rows
-    flat, parents = ws_split(pc.utf8_lower(batch[text_col]))
+    flat, parents = ws_split_lower(batch[text_col])
     n_words = np.bincount(parents, minlength=n).astype(np.int64)
 
     if len(parents):
@@ -228,7 +239,7 @@ def gopher_ngram_repetition_batch(batch: pa.Table, text_col: str = "text",
     from json_remedy_ray.functions.vhash import _mix64, _P, hash_strings
 
     n_docs = batch.num_rows
-    flat, parents = ws_split(pc.utf8_lower(batch[text_col]))
+    flat, parents = ws_split_lower(batch[text_col])
     n_words = np.bincount(parents, minlength=n_docs).astype(np.int64)
     th = hash_strings(flat) if len(parents) else np.empty(0, np.uint64)
 
@@ -350,7 +361,7 @@ def block_token_counts(col):
     (functions/queries.top_tokens_corpus) and the Misra-Gries sketch so
     their "same tokenization" contract is structural, not copy-paste.
     Returns (token Array, count int64 ndarray)."""
-    flat, _ = ws_split(_pc.utf8_lower(col))
+    flat, _ = ws_split_lower(col)
     g = (pa.table({"token": flat}).group_by("token")
          .aggregate([("token", "count")]))
     toks = as_array(g["token"])

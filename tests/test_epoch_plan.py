@@ -3,7 +3,8 @@ tokens (empty/whitespace text) gets ZERO epochs and zero copies on both
 engine and oracle — never a divide-by-zero — and the materialized
 multiset matches the plan's row arithmetic exactly.  A NULL source is
 one group (SQL GROUP BY) in the plan and in dedup_rate_by_source; the
-refinement loop terminates on hash ties; int64 overflow fails loudly."""
+partial-pass threshold survives forced refinement rounds of
+``rank.kth_keys`` and hash ties; int64 overflow fails loudly."""
 
 import signal
 
@@ -13,6 +14,20 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+
+
+def _force_refinement(monkeypatch, nb: int, pull_cap: int) -> list:
+    """Shrink kth_keys' bucket and pull bounds so its narrowing rounds
+    run on a tiny table; returns the list its passes are counted in."""
+    from json_remedy_ray.stages import rank
+
+    passes: list = []
+    run = rank._pass
+    monkeypatch.setattr(rank, "NB", nb)
+    monkeypatch.setattr(rank, "PULL_CAP", pull_cap)
+    monkeypatch.setattr(rank, "_pass",
+                        lambda *a: passes.append(1) or run(*a))
+    return passes
 
 
 @pytest.fixture()
@@ -49,7 +64,8 @@ def test_zero_token_source_gets_zero_epochs(ray_session, plan_dir):
 
 
 def test_epoch_expand_matches_oracle_with_empty_source(ray_session,
-                                                       plan_dir):
+                                                       plan_dir,
+                                                       monkeypatch):
     from json_remedy_ray.functions.queries import (
         ORACLES,
         epoch_expand_documents,
@@ -74,11 +90,13 @@ def test_epoch_expand_matches_oracle_with_empty_source(ray_session,
     pd.testing.assert_frame_equal(
         g, w.astype({c: g[c].dtype for c in cols}))
 
-    # force the histogram-refinement rounds (tiny pull cap, coarse
-    # buckets -> several narrowing passes over the 32-bit hash domain)
+    # force the refinement rounds (tiny pull cap, two buckets per
+    # range -> several narrowing passes over the 32-bit hash domain)
     # and require the byte-identical multiset
-    forced = (epoch_expand_documents(plan_dir, pull_cap=4, nb=256)
+    passes = _force_refinement(monkeypatch, nb=2, pull_cap=2)
+    forced = (epoch_expand_documents(plan_dir)
               .to_pandas()[cols].sort_values(cols).reset_index(drop=True))
+    assert len(passes) >= 3
     pd.testing.assert_frame_equal(g, forced)
 
 
@@ -124,7 +142,8 @@ def test_dedup_rate_by_source_null_source_matches_oracle(ray_session,
 
 
 def test_epoch_plan_and_expand_null_source_match_oracle(ray_session,
-                                                        null_source_dir):
+                                                        null_source_dir,
+                                                        monkeypatch):
     from json_remedy_ray.functions.queries import (
         epoch_expand_documents,
         source_epoch_plan,
@@ -133,15 +152,53 @@ def test_epoch_plan_and_expand_null_source_match_oracle(ray_session,
     plan = source_epoch_plan(null_source_dir)
     assert plan["source"].isna().sum() == 1
     _same(plan, _oracle(null_source_dir, "source_epoch_plan"))
-    got = epoch_expand_documents(null_source_dir, pull_cap=2, nb=16)
+    _force_refinement(monkeypatch, nb=2, pull_cap=2)
+    got = epoch_expand_documents(null_source_dir)
     _same(got.to_pandas(), _oracle(null_source_dir,
                                    "epoch_expand_documents"))
 
 
-def test_epoch_refinement_terminates_on_hash_ties(ray_session, tmp_path):
-    """doc_ids i and i + 2**32 share one 32-bit hash: with pull_cap=1
-    the refinement narrows source "a" to a single hash value that still
-    holds 2 rows; it must pull there instead of looping forever."""
+def test_ppl_buckets_by_source_null_source_matches_oracle(ray_session,
+                                                         null_source_dir):
+    """A NULL source is one stratum; as in the oracle's JOIN, its docs
+    get no label row."""
+    from json_remedy_ray.functions.queries import ppl_buckets_by_source
+
+    got = ppl_buckets_by_source(null_source_dir).to_pandas()
+    assert got["source"].notna().all() and len(got)
+    _same(got, _oracle(null_source_dir, "ppl_buckets_by_source"))
+
+
+def test_value_quantiles_by_type_keeps_null_group(ray_session, tmp_path):
+    """A NULL event_type is one GROUP BY group (NULL values ignored), as
+    in the quantile_disc oracle: 3 groups, not 2."""
+    from json_remedy_ray.functions.queries import (
+        ORACLES,
+        value_quantiles_by_type,
+    )
+
+    types = [None, "view", "click"]
+    pq.write_table(pa.table({
+        "event_type": [types[i % 3] for i in range(40)],
+        "value": [None if i % 7 == 0 else float((i * 37) % 11) - 4.5
+                  for i in range(40)]}), tmp_path / "events.parquet")
+    got = value_quantiles_by_type(str(tmp_path))
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW events AS SELECT * FROM "
+                f"read_parquet('{tmp_path}/events.parquet')")
+    want = con.execute(ORACLES["value_quantiles_by_type"]).df()
+    assert len(got) == len(want) == 3
+    key = lambda df: (df.fillna({"event_type": "<null>"})  # noqa: E731
+                      .sort_values("event_type").reset_index(drop=True))
+    pd.testing.assert_frame_equal(key(got), key(want), check_dtype=False)
+
+
+def test_epoch_refinement_terminates_on_hash_ties(ray_session, tmp_path,
+                                                  monkeypatch):
+    """doc_ids i and i + 2**32 share one 32-bit hash: with PULL_CAP=1
+    the threshold of source "a" falls on a single hash value that still
+    holds 2 rows; it must resolve there (by the bucket's tie bounds or a
+    pull) instead of looping forever."""
     from json_remedy_ray.functions.queries import epoch_expand_documents
 
     ids = [0, 1 << 32, 1, (1 << 32) + 1, 10, 11, 12]
@@ -156,7 +213,8 @@ def test_epoch_refinement_terminates_on_hash_ties(ray_session, tmp_path):
     old = signal.signal(signal.SIGALRM, _timeout)
     signal.alarm(180)
     try:
-        got = epoch_expand_documents(str(tmp_path), pull_cap=1).to_pandas()
+        _force_refinement(monkeypatch, nb=2, pull_cap=1)
+        got = epoch_expand_documents(str(tmp_path)).to_pandas()
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)

@@ -508,6 +508,42 @@ def test_no_dataset_map_groups_in_library():
     assert hits == []
 
 
+def test_no_unused_import_in_library():
+    """Every module-level or function-local import under
+    json_remedy_ray/ is read in the scope that binds it (a package
+    ``__init__.py`` re-exports its names and is exempt)."""
+    import ast
+    import pathlib
+
+    import json_remedy_ray
+
+    root = pathlib.Path(json_remedy_ray.__file__).parent
+    unused = []
+
+    def visit(node, scope, names, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                visit(child, child, None, path)
+                continue
+            if isinstance(child, (ast.Import, ast.ImportFrom)) and \
+                    getattr(child, "module", None) != "__future__":
+                if names is None:
+                    names = {n.id for n in ast.walk(scope)
+                             if isinstance(n, ast.Name)}
+                unused.extend(
+                    f"{path}:{child.lineno} {a.asname or a.name}"
+                    for a in child.names
+                    if (a.asname or a.name.split(".")[0]) not in names)
+            visit(child, scope, names, path)
+
+    for f in sorted(root.rglob("*.py")):
+        if f.name != "__init__.py":
+            tree = ast.parse(f.read_text(encoding="utf-8"))
+            visit(tree, tree, None, f.relative_to(root))
+    assert unused == []
+
+
 def test_one_chunk_combine_and_one_whitespace_split_in_library():
     """``vhash.as_array`` is the library's one ChunkedArray check and
     ``textstats.ws_split`` its one whitespace tokenizer: no other

@@ -83,6 +83,30 @@ def test_global_rank_exact_with_heavy_ties(ray_session):
     assert list(got["rank"]) == list(range(1, 20_001))
 
 
+def test_global_rank_keys_outside_old_histogram_bound(ray_session):
+    """Keys of 2**22 and above, negative keys and the int64 extremes
+    rank like any other: the cuts come from order statistics, not from
+    a bounded value histogram."""
+    import ray.data as rd
+
+    from json_remedy_ray.stages.rank import global_rank
+
+    rng = np.random.default_rng(3)
+    n = 5_000
+    keys = np.concatenate([
+        rng.integers(-(1 << 40), 1 << 40, n - 1_004),
+        rng.integers(1 << 22, (1 << 22) + 3, 1_000),      # heavy ties
+        [-(1 << 63), (1 << 63) - 1, -1, 0]]).astype(np.int64)
+    ids = rng.permutation(n).astype(np.int64)
+    ds = rd.from_arrow(pa.table({"doc_id": ids, "n_chars": keys})
+                       ).repartition(6)
+    got = (global_rank(ds, "n_chars", "doc_id", n_buckets=7).to_pandas()
+           .sort_values("rank").reset_index(drop=True))
+    order = np.lexsort((ids, -keys.astype(object)))
+    assert list(got["doc_id"]) == list(ids[order])
+    assert list(got["rank"]) == list(range(1, n + 1))
+
+
 def test_funnel_conversion_window_edges(ray_session, tmp_path):
     """Boundary semantics: purchase at the same instant converts, at
     exactly ts+gap converts, one microsecond past does not; purchases

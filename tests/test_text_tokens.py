@@ -60,13 +60,45 @@ def test_ws_split_matches_ws_tokens(typ):
     assert sliced.offset == 1
     _check(sliced, TEXTS, typ)
     _check(pa.chunked_array([sliced]), TEXTS, typ)
+    # a data buffer that ends where its last value does (as object-store
+    # blocks do), with the byte 0x85 after it: pyarrow 16's split reads
+    # past the end and glues the final space to the last token
+    # (also when "" rows follow that value, or the value is all space)
+    for tail in (["ends in space "], ["ends in space ", ""],
+                 ["ends in space ", "", ""], [" ", ""]):
+        texts = TEXTS + tail
+        full = pa.array(texts, type=typ)
+        end = len("".join(t for t in texts if t).encode())
+        data = pa.py_buffer(full.buffers()[2].to_pybytes()[:end] + b"\x85\x00")
+        unpadded = pa.Array.from_buffers(typ, len(texts), [
+            full.buffers()[0], full.buffers()[1], data.slice(0, end)])
+        _check(unpadded, texts, typ)
 
 
 def test_ws_split_null_typed_column():
+    """A null-typed column (a block whose text is all None) gives no
+    tokens, also through the lowered-token callers."""
+    from json_remedy_ray.stages.perplexity import _doc_bigrams
+    from json_remedy_ray.stages.textstats import (
+        block_token_counts,
+        gopher_ngram_repetition_batch,
+        gopher_repetition_batch,
+        ws_split_lower,
+    )
+
     for col in (pa.nulls(3), pa.chunked_array([pa.nulls(2), pa.nulls(1)])):
-        flat, parents = ws_split(col)
-        assert len(flat) == 0 and flat.type == pa.string()
-        assert parents.dtype == np.int64 and len(parents) == 0
+        for split in (ws_split, ws_split_lower):
+            flat, parents = split(col)
+            assert len(flat) == 0 and flat.type == pa.string()
+            assert parents.dtype == np.int64 and len(parents) == 0
+        batch = pa.table({"doc_id": [1, 2, 3], "text": col})
+        for fn in (gopher_repetition_batch, gopher_ngram_repetition_batch):
+            out = fn(batch)
+            assert out.num_rows == 3
+            assert out["n_words"].to_pylist() == [0, 0, 0]
+        toks, cnts = block_token_counts(col)
+        assert len(toks) == 0 and len(cnts) == 0
+        assert [len(x) for x in _doc_bigrams(col)] == [0, 0, 0]
 
 
 def test_ws_split_no_tokens_at_all():
