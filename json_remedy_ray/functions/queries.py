@@ -86,7 +86,7 @@ from json_remedy_ray.stages.rank import (
 from json_remedy_ray.stages.repair_stage import make_repair_fn
 from json_remedy_ray.stages.scrub import scrub_batch
 from json_remedy_ray.stages.textstats import ws_split, ws_split_lower
-from json_remedy_ray.state.partitioning import bucket_exchange, default_n_buckets
+from json_remedy_ray.state.partitioning import block_refs, bucket_exchange, default_n_buckets
 
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None) -> rd.Dataset:
@@ -129,7 +129,7 @@ def _partial_agg(ds: rd.Dataset, partial_fn, keys: list[str], aggs: dict[str, st
         g = t.group_by(keys).aggregate(agg_list)
         return g.rename_columns([*keys, *[c for c, _ in agg_list]])
 
-    refs = tree_reduce(partials.to_arrow_refs(), _merge, tree_fanout)
+    refs = tree_reduce(block_refs(partials), _merge, tree_fanout)
     pdf = rd.from_arrow_refs(refs).to_pandas()
     if pdf.empty:
         # an empty input yields a COLUMN-LESS frame; groupby would raise
@@ -369,7 +369,7 @@ def _dedup_min_id_exchange(ds, text_col: str):
                          "doc_id": pa.array(ids[order][~dup],
                                             type=pa.int64())}).cast(_OUT_SCHEMA)
 
-    _, reduced = bucket_exchange(ds.to_arrow_refs(), default_n_buckets(),
+    _, reduced = bucket_exchange(block_refs(ds), default_n_buckets(),
                                  part, red, _OUT_SCHEMA)
     return rd.from_arrow_refs(reduced)
 
@@ -461,7 +461,7 @@ def latest_crawl_per_url(sf_dir: str):
                          "doc_id": pa.array(ids_k, type=pa.int64()),
                          "ts_s": pa.array(ts_k, type=pa.int64())}).cast(_OUT)
 
-    _, reduced = bucket_exchange(ds.to_arrow_refs(), default_n_buckets(),
+    _, reduced = bucket_exchange(block_refs(ds), default_n_buckets(),
                                  part, red, _OUT)
     return rd.from_arrow_refs(reduced)
 
@@ -631,7 +631,7 @@ def crawl_delta_per_url(sf_dir: str, with_latest: bool = False):
 
     schema = (_OUT.append(pa.field("is_latest", pa.bool_())) if with_latest
               else _OUT)
-    _, reduced = bucket_exchange(ds.to_arrow_refs(), default_n_buckets(),
+    _, reduced = bucket_exchange(block_refs(ds), default_n_buckets(),
                                  part, red, schema)
     return rd.from_arrow_refs(reduced)
 
@@ -761,7 +761,7 @@ def dedup_rate_by_source(sf_dir: str, n_buckets: int = 32):
                          "n_distinct": pa.array(n_dist.astype(np.int64))})
 
     ds = _read(sf_dir, "documents", columns=["source", "text"])
-    _, reduced = bucket_exchange(ds.to_arrow_refs(), n_buckets, part, red,
+    _, reduced = bucket_exchange(block_refs(ds), n_buckets, part, red,
                                  _OUT)
     pdf = (rd.from_arrow_refs(reduced).to_pandas()
            .groupby("source", as_index=False, dropna=False)
@@ -1040,7 +1040,7 @@ def assign_training_shards(sf_dir: str, n_shards: int = 16):
                          "shard": t["shard"],
                          "pos": pa.array(pos)}).cast(_SCHEMA)
 
-    _, reduced = bucket_exchange(ds.to_arrow_refs(), n_shards, part, red,
+    _, reduced = bucket_exchange(block_refs(ds), n_shards, part, red,
                                  _SCHEMA)
     return rd.from_arrow_refs(reduced)
 
@@ -1094,7 +1094,7 @@ def url_canonical_dedup(sf_dir: str):
         return g.rename_columns(["canon_url", "keep_doc_id", "n_docs"]
                                 ).cast(_SCHEMA)
 
-    _, reduced = bucket_exchange(ds.to_arrow_refs(), default_n_buckets(),
+    _, reduced = bucket_exchange(block_refs(ds), default_n_buckets(),
                                  part, red, _SCHEMA)
     return rd.from_arrow_refs(reduced)
 
@@ -1276,7 +1276,7 @@ def filter_pipeline_documents(sf_dir: str, broadcast_max: int = 1 << 25):
     # ONE materialization of the planted corpus: the exchange and the
     # decide pass both read these refs (otherwise plant re-executes)
     planted = planted.materialize()
-    _, reduced = bucket_exchange(planted.to_arrow_refs(), n_buckets, part,
+    _, reduced = bucket_exchange(block_refs(planted), n_buckets, part,
                                  red, _DROP_SCHEMA)
 
     _OUT_SCHEMA = pa.schema([("doc_id", pa.int64()),
@@ -1344,7 +1344,7 @@ def filter_pipeline_documents(sf_dir: str, broadcast_max: int = 1 << 25):
 
     planted_schema = pa.schema([("doc_id", pa.int64()), ("text", pa.string())])
     return rd.from_arrow_refs(join_exchange(
-        planted.to_arrow_refs(), reduced, n_buckets, part_ids, part_ids,
+        block_refs(planted), reduced, n_buckets, part_ids, part_ids,
         cogroup, (planted_schema, _DROP_SCHEMA, _OUT_SCHEMA)))
 
 
@@ -1969,7 +1969,7 @@ def _hostgraph_rank_refs(sf_dir: str):
             "w": pa.array(np.ones(len(parents), dtype=np.int64))})
 
     edge_ds = ds.map_batches(edges, batch_format="pyarrow", batch_size=None)
-    return pagerank_refs(edge_ds.to_arrow_refs(),
+    return pagerank_refs(block_refs(edge_ds),
                          n_buckets=default_n_buckets(), iters=5)
 
 
@@ -2153,7 +2153,7 @@ def webpipeline_documents(sf_dir: str):
         return _winners(t).select(["doc_id", "effective_url", "extracted",
                                    "n_words"]).cast(_OUT)
 
-    _, reduced = bucket_exchange(ds.to_arrow_refs(), default_n_buckets(),
+    _, reduced = bucket_exchange(block_refs(ds), default_n_buckets(),
                                  part, red, _OUT)
     return rd.from_arrow_refs(reduced)
 
@@ -3439,7 +3439,7 @@ def incremental_dedup_documents(sf_dir: str):
                          join_type="left anti")
         return ng.select(["doc_id", "text"]).cast(_SCHEMA)
 
-    _, reduced = bucket_exchange(ds.to_arrow_refs(), 16,
+    _, reduced = bucket_exchange(block_refs(ds), 16,
                                  part, reduce_anti, _SCHEMA)
     return rd.from_arrow_refs(reduced)
 
@@ -3490,7 +3490,7 @@ def incremental_dedup_bloom(sf_dir: str):
              .rename_columns(["content_hash", "text", "doc_id"]))
         return g.select(["doc_id", "text"]).cast(_SCHEMA)
 
-    _, reduced = bucket_exchange(ds.to_arrow_refs(), 16,
+    _, reduced = bucket_exchange(block_refs(ds), 16,
                                  part, reduce_min, _SCHEMA)
     return rd.from_arrow_refs(reduced)
 
@@ -3810,7 +3810,7 @@ def events_asof_join_orders(sf_dir: str, hot_threshold: float = 0.05,
     # returned LAZY-equivalent: refs stay in the object store; one output
     # row per input event — the gate's compare and bench's count both
     # consume the Dataset
-    _, reduced = bucket_exchange(tagged.to_arrow_refs(), default_n_buckets(),
+    _, reduced = bucket_exchange(block_refs(tagged), default_n_buckets(),
                                  part, reduce_asof, _ASOF_SCHEMA)
     return rd.from_arrow_refs(reduced)
 
@@ -3945,7 +3945,7 @@ def orders_range_self_join(sf_dir: str, window_days: int = 30,
         return out.filter(pc.invert(pc.equal(out["o_orderkey"],
                                              out["prior_orderkey"])))
 
-    _, reduced = bucket_exchange(tagged.to_arrow_refs(), default_n_buckets(),
+    _, reduced = bucket_exchange(block_refs(tagged), default_n_buckets(),
                                  part, reduce_range, _RANGE_SCHEMA)
     return rd.from_arrow_refs(reduced)
 
@@ -4051,7 +4051,7 @@ def events_interarrival(sf_dir: str, hot_threshold: float = 0.05,
             "gap_us": pa.array(gap, from_pandas=True),
         }).cast(_OUT_SCHEMA)
 
-    _, p1 = bucket_exchange(ds.to_arrow_refs(), n_buckets, part1, reduce1,
+    _, p1 = bucket_exchange(block_refs(ds), n_buckets, part1, reduce1,
                             _P1_SCHEMA)
     interior = rd.from_arrow_refs(p1).map_batches(
         lambda b: (b.filter(pc.invert(b["is_boundary"]))
@@ -4149,7 +4149,7 @@ def events_running_total(sf_dir: str, hot_threshold: float = 0.05,
             "salt": pa.array(s), "run_v100": pa.array(run),
         }).cast(_P1_SCHEMA)
 
-    _, p1 = bucket_exchange(ds.to_arrow_refs(), n_buckets, part1, reduce1,
+    _, p1 = bucket_exchange(block_refs(ds), n_buckets, part1, reduce1,
                             _P1_SCHEMA)
 
     # phase 2: per-(user, salt) totals -> per-user prefix offsets
@@ -4280,7 +4280,7 @@ def knn_bruteforce(sf_dir: str, n_queries: int = 5, k: int = 10):
         return block_topk(qids_, batch["vec_id"].to_numpy(), Qn_ @ Xn.T, k)
 
     partials = ds.map_batches(score, batch_format="pyarrow", batch_size=4096)
-    return merge_topk(partials.to_arrow_refs(), k)
+    return merge_topk(block_refs(partials), k)
 
 
 # -------------------------------------------------------- model-ish stages
@@ -4444,7 +4444,8 @@ def _pack_chunked(read_fn, budget: int, chunk_rows: int,
 
     cuts = kth_keys(read_fn(["doc_id", "source"]), keys, ranks,
                     slack=lambda _n: chunk_rows)
-    sources = sorted(cuts)
+    # a NULL source is one source, ordered last as SQL orders NULLs
+    sources = sorted(cuts, key=lambda s: (s is None, s or ""))
     src_cuts = [np.sort(np.array([c for c, _ in cuts[s]], dtype=np.uint64))
                 for s in sources]
     nch = np.array([len(c) + 1 for c in src_cuts], dtype=np.int64)
@@ -4482,7 +4483,7 @@ def _pack_chunked(read_fn, budget: int, chunk_rows: int,
     tok_schema = pa.schema(
         [("source", pa.string()), ("doc_id", pa.int64()), ("t", pa.int64())]
         + ([("text", pa.string())] if with_text else []))
-    _, chunks = bucket_exchange(toks.to_arrow_refs(), total_chunks, part, red,
+    _, chunks = bucket_exchange(block_refs(toks), total_chunks, part, red,
                                 tok_schema)
 
     _DOC_SCHEMA = pa.schema([
@@ -4601,7 +4602,7 @@ def _pack_concat(read_fn, budget: int, chunk_rows: int, count_fn=None):
     if flagged.empty:
         return interior
     merged = (flagged.sort_values(["source", "bin_id", "first_doc_id"])
-              .groupby(["source", "bin_id"], as_index=False)
+              .groupby(["source", "bin_id"], as_index=False, dropna=False)
               .agg(n_docs=("n_docs", "sum"), bin_tokens=("bin_tokens", "sum"),
                    packed_text=("packed_text", lambda s: "\n".join(s))))
     fixed = rd.from_arrow(pa.Table.from_pandas(
@@ -4961,7 +4962,7 @@ def events_session_windows(sf_dir: str, gap_minutes: int = 30,
         return _segment_sessions(user[order], None,
                                  (st[order], en[order]), cnt[order])
 
-    _, p1 = bucket_exchange(ds.to_arrow_refs(), n_buckets, part1, reduce1,
+    _, p1 = bucket_exchange(block_refs(ds), n_buckets, part1, reduce1,
                             _SESS_SCHEMA)
     _, p2 = bucket_exchange(p1, n_buckets, part2, reduce2, _SESS_SCHEMA)
     return rd.from_arrow_refs(p2)
@@ -5040,7 +5041,7 @@ def events_funnel_conversion(sf_dir: str, gap_hours: int = 1):
             "converted": pa.array(n_conv[keep] > 0),
         }).cast(_SCHEMA)
 
-    _, reduced = bucket_exchange(ds.to_arrow_refs(), default_n_buckets(),
+    _, reduced = bucket_exchange(block_refs(ds), default_n_buckets(),
                                  part, reduce_funnel, _SCHEMA)
     return rd.from_arrow_refs(reduced)
 
@@ -5085,7 +5086,7 @@ def distinct_users_by_type(sf_dir: str):
         c = g.group_by("event_type").aggregate([("user_id", "count")])
         return c.rename_columns(["event_type", "n_users"]).cast(_SCHEMA)
 
-    _, reduced = bucket_exchange(ds.to_arrow_refs(), 16,
+    _, reduced = bucket_exchange(block_refs(ds), 16,
                                  part, reduce_count, _SCHEMA)
     pdf = rd.from_arrow_refs(reduced).to_pandas()
     # dropna=False: a NULL event_type is a group in SQL GROUP BY too
@@ -5129,7 +5130,7 @@ def daily_active_users(sf_dir: str):
         c = g.group_by("day").aggregate([("user_id", "count")])
         return c.rename_columns(["day", "n_users"]).cast(_SCHEMA)
 
-    _, reduced = bucket_exchange(ds.to_arrow_refs(), 16,
+    _, reduced = bucket_exchange(block_refs(ds), 16,
                                  part, reduce_count, _SCHEMA)
     pdf = rd.from_arrow_refs(reduced).to_pandas()
     out = (pdf.groupby("day", as_index=False, dropna=False)["n_users"]
@@ -5149,7 +5150,11 @@ def value_quantiles_by_type(sf_dir: str):
     got = column_quantiles(ds, "value", lambda _, n: [
         int(np.ceil(q * n)) for q in (0.25, 0.5, 0.75)],  # q dyadic-exact
         group_col="event_type", dtype=np.float64)
-    out = pd.DataFrame([[et, *v] for et, v in got.items()],
+    # an event_type whose values are all NULL is a group all the same,
+    # with NULL quantiles: kth_keys asked for no rank lists every group
+    groups = kth_keys(ds, lambda b: (b["event_type"], np.zeros(b.num_rows, np.uint64), None),
+                      lambda _, n: [])
+    out = pd.DataFrame([[et, *got.get(et, [np.nan] * 3)] for et in groups],
                        columns=["event_type", "q25", "q50", "q75"])
     return out.sort_values("event_type").reset_index(drop=True)
 
@@ -5467,7 +5472,7 @@ def winnow_planted_recovery(sf_dir: str, n_buckets: int = 32,
         return pa.table({"doc_a": pa.array(a_s[keep]),
                          "doc_b": pa.array(b_s[keep])}).cast(_PAIRS)
 
-    _, reduced = bucket_exchange(ds.to_arrow_refs(), n_buckets, part, red,
+    _, reduced = bucket_exchange(block_refs(ds), n_buckets, part, red,
                                  _PAIRS)
     pairs_ds = rd.from_arrow_refs(reduced)
     # driver guard: unlike MinHash (fixed bands/doc), fingerprint-candidate
@@ -5667,8 +5672,7 @@ def semdedup_embeddings(sf_dir: str, threshold: float = 0.999,
     planted_ds = ds.map_batches(_plant_embedding_copies,
                                 batch_format="pyarrow", batch_size=None)
     pairs_ds = rd.from_arrow_refs(
-        embedding_neardup_pairs(planted_ds, threshold=threshold)
-        .to_arrow_refs())
+        block_refs(embedding_neardup_pairs(planted_ds, threshold=threshold)))
     n_pairs = pairs_ds.count()
     if n_pairs > pairs_max:
         mapping = components_min_label(pairs_ds, id_a="vec_a", id_b="vec_b")

@@ -14,7 +14,15 @@ Behavioral contracts verified against the reference ExUnit suites
 (test/missing_patterns/*.exs, test/unit/*.exs); see tests/test_repair_core.py.
 
 Docs are independent, so the Ray stage calls the parser once per flagged
-row of an Arrow batch.  Inside one document the parser keeps its Python
+row of an Arrow batch.  ``parse_document`` first tries the strict-rewrite
+lane (``_strict_lane``): one position-anchored match skips, in C, every
+token the parser reads as itself with no repair, and stops only at four
+malformations whose reading is known (an ASCII bare key before ``:``, a
+plain single-quoted string, a Python-style literal, a comma before a
+close).  The lane rewrites those, lets json's C scanner read the result,
+and returns that value with the repairs the parser would record, for one
+object or array read to the end of the text; any other text goes to the
+parser below as before.  Inside one document the parser keeps its Python
 steps per token, not per character: each loop holds the text and the
 cursor in locals, and whitespace/comma runs, string bodies without
 escapes, plain numbers, bare words and runs of top-level prose are each
@@ -34,6 +42,7 @@ from json_remedy_ray.repair.actions import (
     LAYER_SYNTAX,
     Repair,
 )
+from json_remedy_ray.repair.layer4 import _scan_once
 
 
 class _Skip:
@@ -931,6 +940,89 @@ def _is_empty(v) -> bool:
     return (isinstance(v, str) and v == "") or (isinstance(v, (list, dict)) and len(v) == 0)
 
 
+# ------------------------------------------------------ strict-rewrite lane
+
+# One match of _lane skips a run of tokens the parser reads as themselves
+# with no repair, then takes at most one of four malformations whose
+# reading is known (groups 1-4).  Every bound is the parser's, not JSON's:
+#  - whitespace, `{}[]:`, and a comma not before a close;
+#  - a double-quoted string closed at a quote not followed by an
+#    identifier char or a quote (parse_string; json refuses the escapes
+#    the parser reads differently, such as `\'`);
+#  - a lowercase literal that is a whole word;
+#  - a number as _SIMPLE_VALUE bounds it: `[1,234]` is one number here;
+#  1. an ASCII bare key before `:` ("quoted unquoted key"), unless it is
+#     all caps: the parser strips such a word as a junk marker where no
+#     `:` follows, so the lane leaves it to the parser;
+#  2. a single-quoted string with no `\`, `"` or control char in it
+#     ("normalized single-quoted string");
+#  3. any other literal ("normalized literal X");
+#  4. a comma before a close (dropped without a record).
+_lane = re.compile(
+    r'(?:[ \t\r\n{}\[\]:]++|,(?![ \t\r\n]*+[}\]])'
+    r'|"[^"\\]*+(?:\\.[^"\\]*+)*+"(?![\w"])'
+    r"|(?:true|false|null)(?!\w)"
+    r"|-?[0-9]++(?:\.[0-9]++)?+(?=[ \t\r\n}\]:]|\Z|,(?!\w)))*+"
+    r"(?:(?![A-Z][A-Z0-9_]++(?!\w))([A-Za-z_]\w*+)(?=[ \t\r\n]*+:)"
+    r"""|'([^'\\"\x00-\x1f]*+)'(?![\w'])"""
+    r"|(True|False|None|TRUE|FALSE|NULL|Null)(?!\w)"
+    r"|(,)[ \t\r\n]*+(?=[}\]]))?").match
+_JSON_WORD = {w: "null" if v is None else str(v).lower() for w, v in LITERALS.items()}
+
+
+def _strict_lane(s: str, max_depth: int):
+    """``(value, repairs)`` when ``s`` is one object or array that is
+    strict JSON once its lane malformations are rewritten, else None.
+
+    The rewritten text goes to json's C scanner.  The parser reads such a
+    text as that value with exactly the lane's repairs, at their positions
+    in ``s``, provided it nests at most ``max_depth // 2`` deep: the
+    parser counts two depth steps per level and raises past max_depth.
+    So the lane takes a text with at most that many `{` and `[`."""
+    start = _ws_end(s, 0).end()
+    if s[start:start + 1] not in ("{", "[") or s.count("{") + s.count("[") > max_depth // 2:
+        return None
+    out: list[str] = []
+    repairs: list[Repair] = []
+    last, pos = 0, start
+    while True:
+        m = _lane(s, pos)
+        pos = m.end()
+        g = m.lastindex
+        if g is None:
+            break
+        a, b = m.span(g)
+        if g == 1:
+            word = m.group(1)
+            new = '"' + word + '"'
+            repairs.append(Repair(LAYER_SYNTAX, f"quoted unquoted key {word!r}", a))
+        elif g == 2:
+            a -= 1
+            b += 1
+            new = '"' + m.group(2) + '"'
+            repairs.append(Repair(LAYER_SYNTAX, "normalized single-quoted string", a))
+        elif g == 3:
+            word = m.group(3)
+            new = _JSON_WORD[word]
+            repairs.append(Repair(LAYER_SYNTAX, f"normalized literal {word}", a))
+        else:
+            new = ""
+        out.append(s[last:a])
+        out.append(new)
+        last = b
+    if pos != len(s):
+        return None
+    out.append(s[last:])
+    t = "".join(out)
+    try:
+        value, end = _scan_once(t, start)
+    except (StopIteration, ValueError, RecursionError):
+        return None
+    if _ws_end(t, end).end() != len(t):
+        return None
+    return value, repairs
+
+
 def parse_document(s: str, repairs: list[Repair] | None = None, max_depth: int = 128,
                    allow_multiple: bool = True, allow_merge: bool = True,
                    allow_ellipsis: bool = True, allow_keywords: bool = True):
@@ -939,8 +1031,17 @@ def parse_document(s: str, repairs: list[Repair] | None = None, max_depth: int =
     aggregation (reference utils/multiple_json_detector.ex:28-107) and
     object-boundary merging (reference layer3/object_merger.ex:20-92).
 
+    A document the strict-rewrite lane takes is not parsed again: its
+    value and repairs are the ones the parser would give.
+
     Returns (value, repairs).  Raises ParseError on pathological input.
     """
+    lane = _strict_lane(s, max_depth)
+    if lane is not None:
+        if repairs is None:
+            return lane
+        repairs.extend(lane[1])
+        return lane[0], repairs
     p = TolerantParser(s, repairs=repairs, max_depth=max_depth,
                        allow_ellipsis=allow_ellipsis, allow_keywords=allow_keywords)
     n = p.n

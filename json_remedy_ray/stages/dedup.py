@@ -64,6 +64,7 @@ from json_remedy_ray.functions.vhash import (
     simhash_from_token_hashes,
 )
 from json_remedy_ray.stages.textstats import ws_split
+from json_remedy_ray.state.partitioning import block_refs
 
 _MERSENNE = (1 << 61) - 1
 _BUCKET_CHUNK = 256          # verification chunk size, NOT a drop cap
@@ -632,7 +633,7 @@ def minhash_dedup_pairs(ds: rd.Dataset, threshold: float = 0.8, num_perm: int = 
                                     preserve_index=False)
 
     side, reduced = bucket_exchange(
-        ds.to_arrow_refs(), n_buckets, part, reduce_pairs, _PAIRS_SCHEMA,
+        block_refs(ds), n_buckets, part, reduce_pairs, _PAIRS_SCHEMA,
         side=_PAIRS_SCHEMA if spanning else None)
     return rd.from_arrow_refs(list(reduced) + list(side))
 
@@ -820,7 +821,7 @@ def components_min_label(pairs: rd.Dataset, max_iters: int = 128,
         return tuple([labels_b, int(lab.sum())] + ptr)
 
     # ---- bootstrap: edges partitioned once; labels bucket-aligned
-    eparts = [_part_edges.remote(ref) for ref in edges_ds.to_arrow_refs()]
+    eparts = [_part_edges.remote(ref) for ref in block_refs(edges_ds)]
     if nb == 1:
         eparts = [[e] for e in eparts]
     inits = [_init_bucket.remote(*[e[b] for e in eparts]) for b in range(nb)]
@@ -1045,7 +1046,7 @@ def simhash_dedup_pairs(ds: rd.Dataset, max_hamming: int = 3,
         return pa.table([pa.array(np.concatenate(c).astype(np.int64))
                          for c in zip(*parts)], schema=_SIMHASH_PAIRS)
 
-    _, reduced = bucket_exchange(ds.to_arrow_refs(), default_n_buckets(),
+    _, reduced = bucket_exchange(block_refs(ds), default_n_buckets(),
                                  part, reduce_pairs, _SIMHASH_PAIRS)
     return rd.from_arrow_refs(reduced)
 
@@ -1135,7 +1136,7 @@ def _doc_cogroup(ds: rd.Dataset, drop_refs, n_buckets: int, id_col: str,
         return hash_key(tbl["doc_id"].to_numpy(), None), tbl
 
     return rd.from_arrow_refs(join_exchange(
-        ds.to_arrow_refs(), drop_refs, n_buckets, part_docs, part_drops,
+        block_refs(ds), drop_refs, n_buckets, part_docs, part_drops,
         reduce_fn, (_corpus_schema(ds, id_col, text_col), *schemas)))
 
 
@@ -1268,7 +1269,7 @@ def line_dedup(ds: rd.Dataset, id_col: str = "doc_id",
     # (state/partitioning.bucket_exchange — the documented last-resort
     # tier for semantics the Dataset API can't express at cost).
     side_refs, reduced_refs = bucket_exchange(
-        ds.to_arrow_refs(), n_buckets, explode_partition, resolve,
+        block_refs(ds), n_buckets, explode_partition, resolve,
         _DROPS_SCHEMA, side=_DROPS_SCHEMA)
 
     # ---- route the drops to the documents ----------------------------
@@ -1646,7 +1647,7 @@ def crossdoc_span_dedup(ds: rd.Dataset, n: int = 8, n_buckets: int = 32,
     # ONE materialization: the occurrence exchange and the rebuild both
     # read these blocks (otherwise the upstream plan executes twice)
     ds = ds.materialize()
-    _, reduced = bucket_exchange(ds.to_arrow_refs(), n_buckets,
+    _, reduced = bucket_exchange(block_refs(ds), n_buckets,
                                  part_occ, reduce_spans, _SPAN_SCHEMA)
 
     _OUT_SCHEMA = pa.schema([("doc_id", pa.int64()),
@@ -1804,7 +1805,7 @@ def crossdoc_ngram_stats(ds: rd.Dataset, n: int = 8, n_buckets: int = 32,
         return g.rename_columns(["doc_id", "n_grams", "dup_grams"]).cast(
             _PART_SCHEMA)
 
-    zeros, partials = bucket_exchange(ds.to_arrow_refs(), n_buckets,
+    zeros, partials = bucket_exchange(block_refs(ds), n_buckets,
                                       part_grams, reduce_gramcounts,
                                       _PART_SCHEMA, side=_PART_SCHEMA)
     _, summed = bucket_exchange(list(partials) + list(zeros), n_buckets,

@@ -27,7 +27,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from json_remedy_ray.functions.vhash import _mix64, as_array, hash_strings
-from json_remedy_ray.state.partitioning import join_exchange
+from json_remedy_ray.state.partitioning import block_refs, join_exchange
 
 
 def _key_hash(tbl: pa.Table, key: str) -> np.ndarray:
@@ -69,7 +69,7 @@ def hash_join(left: rd.Dataset, right: rd.Dataset,
     r_schema = pa.schema(list(zip(rs.names, rs.types)))
     out_schema = reduce_join(l_schema.empty_table(),
                              r_schema.empty_table()).schema
-    reduced = join_exchange(left.to_arrow_refs(), right.to_arrow_refs(),
+    reduced = join_exchange(block_refs(left), block_refs(right),
                             n_buckets, part_side(lkeys[0]),
                             part_side(rkeys[0]), reduce_join,
                             (l_schema, r_schema, out_schema))

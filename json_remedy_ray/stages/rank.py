@@ -25,7 +25,7 @@ import ray
 import ray.data as rd
 
 from json_remedy_ray.functions.vhash import as_array
-from json_remedy_ray.state.partitioning import bucket_exchange, tree_reduce
+from json_remedy_ray.state.partitioning import block_refs, bucket_exchange, tree_reduce
 
 NB = 1 << 22          # distinct keys a partial keeps per group and range
 NB_SLACK = 1 << 12    # the same for a caller with slack
@@ -152,10 +152,8 @@ def _by_group(t: pa.Table) -> dict:
 
 def _pass(ds, block_fn, merge_fn) -> dict:
     """One pass over ``ds``: ``block_fn`` per block, tree-merged, by
-    group.  Materialized first: a lazy Dataset's ``to_arrow_refs()``
-    reruns its plan (limit 1) for the schema."""
-    refs = ds.map_batches(block_fn, batch_format="pyarrow",
-                          batch_size=None).materialize().to_arrow_refs()
+    group."""
+    refs = block_refs(ds.map_batches(block_fn, batch_format="pyarrow", batch_size=None))
     return _by_group(merge_fn(ray.get(tree_reduce(refs, merge_fn))) if refs
                      else pa.table({}))
 
@@ -271,7 +269,7 @@ def global_rank(ds: rd.Dataset, key_col: str, id_col: str,
     ds_schema = ds.schema()
     schema = pa.schema(list(zip(ds_schema.names, ds_schema.types))
                        + [(rank_col, pa.int64())])
-    _, reduced = bucket_exchange(ds.to_arrow_refs(), n_buckets,
+    _, reduced = bucket_exchange(block_refs(ds), n_buckets,
                                  part, reduce_sort, schema)
 
     @ray.remote

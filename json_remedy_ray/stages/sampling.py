@@ -37,6 +37,7 @@ import pyarrow as pa
 import ray.data as rd
 
 from json_remedy_ray.functions.vhash import as_array
+from json_remedy_ray.state.partitioning import block_refs
 
 _KNUTH = np.uint64(2654435761)
 _M32 = np.uint64(0xFFFFFFFF)
@@ -115,6 +116,6 @@ def stratified_sample_k(ds: rd.Dataset, k: int,
     def final_topk(t: pa.Table) -> pa.Table:
         return topk(t["stratum"].chunk(0), t["id"].to_numpy())
 
-    _, reduced = bucket_exchange(ds.to_arrow_refs(), default_n_buckets(),
+    _, reduced = bucket_exchange(block_refs(ds), default_n_buckets(),
                                  local_topk, final_topk, schema)
     return rd.from_arrow_refs(reduced)

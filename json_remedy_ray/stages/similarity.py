@@ -25,6 +25,7 @@ import ray.data as rd
 
 from json_remedy_ray.functions.vhash import as_array
 from json_remedy_ray.state.partitioning import (
+    block_refs,
     bucket_exchange,
     default_n_buckets,
     hash_key,
@@ -152,7 +153,7 @@ def ivf_search(indexed: rd.Dataset, centroids: np.ndarray, queries: np.ndarray,
                           probed)
 
     partials = sub.map_batches(score, batch_format="pyarrow", batch_size=4096)
-    return merge_topk(partials.to_arrow_refs(), k)
+    return merge_topk(block_refs(partials), k)
 
 
 _EMB_PAIRS = pa.schema([("vec_a", pa.int64()), ("vec_b", pa.int64()),
@@ -269,7 +270,7 @@ def embedding_neardup_pairs(ds: rd.Dataset, threshold: float = 0.95, n_planes: i
         return pa.Table.from_pandas(out, schema=_EMB_PAIRS,
                                     preserve_index=False)
 
-    _, reduced = bucket_exchange(ds.to_arrow_refs(), default_n_buckets(),
+    _, reduced = bucket_exchange(block_refs(ds), default_n_buckets(),
                                  part, reduce_pairs, _EMB_PAIRS)
     return rd.from_arrow_refs(reduced)
 
@@ -466,7 +467,7 @@ def pq_search(encoded: rd.Dataset, books: np.ndarray, queries: np.ndarray,
 
     partials = encoded.map_batches(score, batch_format="pyarrow",
                                    batch_size=4096)
-    return merge_topk(partials.to_arrow_refs(), k)
+    return merge_topk(block_refs(partials), k)
 
 
 def pq_search_rerank(ds: rd.Dataset, encoded: rd.Dataset,
@@ -520,5 +521,5 @@ def pq_search_rerank(ds: rd.Dataset, encoded: rd.Dataset,
         return scored.join(pairs_, ["query_id", "neighbor_id"],
                            join_type="inner").select(TOPK_SCHEMA.names)
 
-    return merge_topk(ds.map_batches(rescore, batch_format="pyarrow",
-                                     batch_size=4096).to_arrow_refs(), k)
+    return merge_topk(block_refs(ds.map_batches(rescore, batch_format="pyarrow",
+                                                batch_size=4096)), k)

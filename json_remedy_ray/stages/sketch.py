@@ -19,6 +19,7 @@ import numpy as np
 import pyarrow as pa
 
 from json_remedy_ray.functions.vhash import as_array, hash_strings, popcount64
+from json_remedy_ray.state.partitioning import block_refs
 
 _P = 12                      # 4096 registers -> ~1.6% typical error
 _M = 1 << _P
@@ -88,7 +89,7 @@ def count_distinct_hll(ds, text_col: str = "text",
         return pa.table({"registers": pa.array([regs.tobytes()],
                                                type=pa.binary())})
 
-    refs = tree_reduce(partials.to_arrow_refs(), _merge, tree_fanout)
+    refs = tree_reduce(block_refs(partials), _merge, tree_fanout)
     import ray.data as _rd
 
     blobs = [row["registers"]
@@ -163,7 +164,7 @@ def count_distinct_exact_exchange(ds, text_col: str = "text",
         return pa.table({"n": pa.array([n], type=pa.int64())})
 
     _, reduced = bucket_exchange(
-        partials.to_arrow_refs(), n_buckets, part, reduce_count,
+        block_refs(partials), n_buckets, part, reduce_count,
         pa.schema([("n", pa.int64())]))
     return int(sum(sum(ray.get(r)["n"].to_pylist()) for r in reduced))
 
@@ -306,8 +307,8 @@ def top_tokens_misra_gries(ds, k: int = 4096, topn: int = 20,
     from json_remedy_ray.state.partitioning import tree_reduce
 
     refs = tree_reduce(
-        ds.map_batches(lambda b: misra_gries_block(b, text_col=text_col, k=k),
-                       batch_format="pyarrow", batch_size=None).to_arrow_refs(),
+        block_refs(ds.map_batches(lambda b: misra_gries_block(b, text_col=text_col, k=k),
+                                  batch_format="pyarrow", batch_size=None)),
         lambda tables: _mg_merge_tables(tables, k), tree_fanout)
     import ray.data as _rd
 
@@ -390,8 +391,8 @@ def quantiles_bottomk(ds, key_col: str, value_col: str,
         return t.take(pa.array(np.sort(idx)))
 
     refs = tree_reduce(
-        ds.map_batches(lambda b: bottomk_sample_block(b, key_col, value_col, k=k),
-                       batch_format="pyarrow", batch_size=None).to_arrow_refs(),
+        block_refs(ds.map_batches(lambda b: bottomk_sample_block(b, key_col, value_col, k=k),
+                                  batch_format="pyarrow", batch_size=None)),
         _merge, tree_fanout)
     import ray.data as _rd
 

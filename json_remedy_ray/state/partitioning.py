@@ -204,6 +204,17 @@ def salt_by_time_bucket(user: np.ndarray, ts_i: np.ndarray,
     return salt
 
 
+def block_refs(ds) -> list:
+    """The blocks of ``ds`` as pyarrow table refs, the plan run once.
+    A lazy Dataset is materialized first: its ``to_arrow_refs()`` reads
+    the schema after the blocks, which runs the plan again up to one row."""
+    from ray.data.dataset import MaterializedDataset
+
+    if not isinstance(ds, MaterializedDataset):
+        ds = ds.materialize()
+    return ds.to_arrow_refs()
+
+
 def tree_reduce(refs, merge_fn, fanout: int = 64):
     """Shared tree-merge scaffold for the driver-combiner family
     (_partial_agg, Misra-Gries, KMV bottom-k, HLL registers, per-query

@@ -193,6 +193,28 @@ def test_value_quantiles_by_type_keeps_null_group(ray_session, tmp_path):
     pd.testing.assert_frame_equal(key(got), key(want), check_dtype=False)
 
 
+def test_value_quantiles_by_type_keeps_all_null_group(ray_session, tmp_path):
+    """An event_type whose values are all NULL has no rank to find but is
+    still a GROUP BY group: the oracle gives it a row of NULL quantiles."""
+    from json_remedy_ray.functions.queries import (
+        ORACLES,
+        value_quantiles_by_type,
+    )
+
+    pq.write_table(pa.table({"event_type": ["a", "a", "b", "b"],
+                             "value": pa.array([1.0, 2.0, None, None], pa.float64())}),
+                   tmp_path / "events.parquet")
+    got = value_quantiles_by_type(str(tmp_path))
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW events AS SELECT * FROM "
+                f"read_parquet('{tmp_path}/events.parquet')")
+    want = con.execute(ORACLES["value_quantiles_by_type"]).df()
+    assert len(got) == len(want) == 2
+    key = lambda df: df.sort_values("event_type").reset_index(drop=True)  # noqa: E731
+    pd.testing.assert_frame_equal(key(got), key(want), check_dtype=False)
+    assert got.set_index("event_type").loc["b"].isna().all()
+
+
 def test_epoch_refinement_terminates_on_hash_ties(ray_session, tmp_path,
                                                   monkeypatch):
     """doc_ids i and i + 2**32 share one 32-bit hash: with PULL_CAP=1

@@ -579,3 +579,60 @@ def test_one_chunk_combine_and_one_whitespace_split_in_library():
         ("ChunkedArray check", "functions/vhash.py", "as_array"),
         ("utf8_split_whitespace", "stages/textstats.py", "ws_split"),
     ]
+
+
+def _logging_partial(log_path):
+    """A ``_partial_agg`` partial that appends one line per call to
+    ``log_path``.  Built inside a function so Ray ships it by value."""
+    def partial(batch: pa.Table) -> pa.Table:
+        with open(log_path, "a") as f:
+            f.write("call\n")
+        return batch.group_by("k").aggregate([("v", "sum")])
+    return partial
+
+
+def test_partial_agg_runs_partial_once_per_block(ray_session, tmp_path):
+    """A lazy Dataset's ``to_arrow_refs()`` reads its schema after the
+    blocks, which ran the plan again up to one row and called the
+    partial on a block a second time; ``block_refs`` materializes first."""
+    import ray.data as rd
+
+    from json_remedy_ray.functions.queries import _partial_agg
+
+    data = tmp_path / "data"
+    data.mkdir()
+    for i in range(3):
+        pq.write_table(pa.table({"k": ["a", "b"], "v": [i, 10 * i]}),
+                       data / f"part{i}.parquet")
+    log = tmp_path / "calls.log"
+    partial = _logging_partial(str(log))
+    ds = rd.read_parquet(str(data), override_num_blocks=3)
+    got = _partial_agg(ds, partial, ["k"], {"v_sum": "sum"})
+    assert sorted(zip(got["k"], got["v_sum"])) == [("a", 3), ("b", 30)]
+    calls = log.read_text().count("call\n")
+    log.unlink()
+    one_pass = ds.map_batches(partial, batch_format="pyarrow", batch_size=None).materialize()
+    assert calls == log.read_text().count("call\n") == one_pass.num_blocks()
+
+
+def test_block_refs_is_the_only_to_arrow_refs_in_library():
+    """Every block-ref list the library takes goes through
+    ``partitioning.block_refs``, which runs a lazy plan once."""
+    import ast
+    import pathlib
+
+    import json_remedy_ray
+
+    root = pathlib.Path(json_remedy_ray.__file__).parent
+    found = []
+    for f in sorted(root.rglob("*.py")):
+        tree = ast.parse(f.read_text(encoding="utf-8"))
+        fns = [n for n in ast.walk(tree)
+               if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for n in ast.walk(tree):
+            if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and n.func.attr == "to_arrow_refs"):
+                owner = max((fn for fn in fns if fn.lineno <= n.lineno <= fn.end_lineno),
+                            key=lambda fn: fn.lineno, default=None)
+                found.append((str(f.relative_to(root)), owner and owner.name))
+    assert found == [("state/partitioning.py", "block_refs")]

@@ -61,3 +61,23 @@ def test_pack_bin_spanning_many_chunks(ray_session):
     assert bins["bin_tokens"].tolist() == [60, 300, 5]
     assert bins.loc[0, "packed_text"] == "\n".join(
         [" ".join(["w"] * 10)] * 6 + ["", ""])
+
+
+def test_pack_docs_null_source_matches_oracle(ray_session, tmp_path):
+    """A NULL source is one source (ordered last, as SQL orders NULLs)
+    instead of a TypeError when the sources are sorted."""
+    import duckdb
+
+    pq.write_table(pa.table({"doc_id": pa.array([0, 1, 2], pa.int64()),
+                             "source": ["web", None, "web"],
+                             "text": ["a b c", "d e", "f"]}),
+                   tmp_path / "documents.parquet")
+    got = q.pack_sequences_documents(str(tmp_path)).to_pandas()
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW documents AS SELECT * FROM "
+                f"read_parquet('{tmp_path}/documents.parquet')")
+    want = con.execute(q.ORACLES["pack_sequences_documents"]).df()
+    cols = ["source", "doc_id", "bin_id", "tok_offset"]
+    norm = lambda df: _norm(df[cols].fillna({"source": "<null>"}), ["source", "doc_id"])  # noqa: E731
+    assert len(got) == len(want) == 3
+    pd.testing.assert_frame_equal(norm(got), norm(want), check_dtype=False)
