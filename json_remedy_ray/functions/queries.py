@@ -1200,7 +1200,7 @@ def filter_pipeline_documents(sf_dir: str, broadcast_max: int = 1 << 25):
     whole-page duplicates are 30-50% of the corpus, so the drop set is
     NOT assumed small.  Up to ``broadcast_max`` drop ids (8 bytes each;
     default 32M = 256 MB) one task merges them into a sorted array
-    that broadcasts to the decide stage, a plain map_batches; past
+    that broadcasts to the decide stage, one raw task per block; past
     that documents and drop ids meet in one ``join_exchange`` keyed by
     hash_key(doc_id) and each bucket runs the same decision, so the
     drop set never materializes on the driver."""
@@ -6112,7 +6112,7 @@ ORACLES: dict[str, str] = {
                    CASE WHEN p.cur + n.t <= 256 THEN p.bin_id
                         ELSE p.bin_id + 1 END,
                    CASE WHEN p.cur + n.t <= 256 THEN p.cur + n.t ELSE n.t END
-            FROM pack p JOIN toks n ON n.source = p.source AND n.rn = p.rn + 1
+            FROM pack p JOIN toks n ON n.source IS NOT DISTINCT FROM p.source AND n.rn = p.rn + 1
         )
         SELECT source, bin_id, COUNT(*) AS n_docs,
                CAST(SUM(t) AS BIGINT) AS bin_tokens,
@@ -6139,7 +6139,7 @@ ORACLES: dict[str, str] = {
                         ELSE p.bin_id + 1 END,
                    CASE WHEN p.cur + n.t <= 256 THEN p.cur ELSE 0 END,
                    CASE WHEN p.cur + n.t <= 256 THEN p.cur + n.t ELSE n.t END
-            FROM pack p JOIN toks n ON n.source = p.source AND n.rn = p.rn + 1
+            FROM pack p JOIN toks n ON n.source IS NOT DISTINCT FROM p.source AND n.rn = p.rn + 1
         )
         SELECT source, doc_id, bin_id, tok_offset FROM pack
     """,
@@ -6780,7 +6780,7 @@ ORACLES["pack_sequences_bpe"] = f"""
                     ELSE p.bin_id + 1 END,
                CASE WHEN p.cur + n.t <= 256 THEN p.cur ELSE 0 END,
                CASE WHEN p.cur + n.t <= 256 THEN p.cur + n.t ELSE n.t END
-        FROM pack p JOIN toks n ON n.source = p.source AND n.rn = p.rn + 1
+        FROM pack p JOIN toks n ON n.source IS NOT DISTINCT FROM p.source AND n.rn = p.rn + 1
     )
     SELECT source, doc_id, bin_id, tok_offset FROM pack
 """
@@ -6812,7 +6812,7 @@ ORACLES["pack_sequences_bpe_concat"] = f"""
                CASE WHEN p.cur + n.t <= 256 THEN p.bin_id
                     ELSE p.bin_id + 1 END,
                CASE WHEN p.cur + n.t <= 256 THEN p.cur + n.t ELSE n.t END
-        FROM pack p JOIN toks2 n ON n.source = p.source AND n.rn = p.rn + 1
+        FROM pack p JOIN toks2 n ON n.source IS NOT DISTINCT FROM p.source AND n.rn = p.rn + 1
     )
     SELECT source, bin_id, COUNT(*) AS n_docs,
            CAST(SUM(t) AS BIGINT) AS bin_tokens,

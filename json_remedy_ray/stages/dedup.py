@@ -1153,14 +1153,14 @@ def line_dedup(ds: rd.Dataset, id_col: str = "doc_id",
     Shape (100-TB audit):
       1. The exchange MAP task splits one corpus block into lines (one
          Arrow split_pattern + flatten; line numbers from the list
-         offsets) and runs a BLOCK-LOCAL COMBINER
-         (first_occurrence_dups): only the block's first occurrence of
-         each distinct line enters the exchange as a candidate; every
-         other occurrence is already a definite global drop and is
-         emitted as the exchange's side output.  This bounds the
-         per-line candidate count at one per block — without it the
-         empty-line / boilerplate-line group would hold billions of
-         rows at web scale.
+         offsets) and runs a BLOCK-LOCAL COMBINER (one
+         dictionary_encode, exact on the line text): only the block's
+         first occurrence of each distinct line enters the exchange as
+         a candidate; every other occurrence is already a definite
+         global drop and is emitted as the exchange's side output.
+         This bounds the per-line candidate count at one per block —
+         without it the empty-line / boilerplate-line group would hold
+         billions of rows at web scale.
       2. Candidates move through a two-stage raw-task BUCKET EXCHANGE
          keyed on line_hash mod n_buckets
          (state/partitioning.bucket_exchange — chosen over
@@ -1175,13 +1175,16 @@ def line_dedup(ds: rd.Dataset, id_col: str = "doc_id",
          ONE task (state/partitioning.merge_sorted) merges every side
          and reduce output into a sorted (doc_id, line_no) array pair,
          and the driver sees only the drop count.  The common case
-         broadcasts that pair (16 bytes per drop) and rebuilds in a
-         plain map_batches — the corpus text never shuffles.  Past
+         broadcasts that pair (16 bytes per drop) and rebuilds with
+         one raw task per corpus block (state/partitioning.map_blocks)
+         — the corpus text never shuffles.  Past
          ``broadcast_max`` drops, documents and drops meet in one
          ``join_exchange`` keyed by hash_key(doc_id) (the corpus
          shuffles once) and each bucket runs the same rebuild.
-    Size n_buckets ~ 4-8x cluster cores so buckets stay parallel and
-    bounded.  The exchange and the rebuild both consume the one
+    ``n_buckets`` is the hash space, not the task count: the exchange
+    runs min(n_buckets, cluster CPUs) reduce tasks whatever it is, so
+    more buckets only make each one smaller (a bucket is the reduce's
+    working set).  The exchange and the rebuild both consume the one
     materialized set of corpus block refs (spill-backed); a production
     run checkpoints the drop rows to parquet between passes — the
     resumable-output pattern."""
@@ -1208,37 +1211,40 @@ def line_dedup(ds: rd.Dataset, id_col: str = "doc_id",
     _DROPS_SCHEMA = pa.schema([("doc_id", pa.int64()),
                                ("line_no", pa.int64())])
 
-    def split_lines(batch: pa.Table):
-        """(hash, flat lines, doc_id per line, line_no per line) for one
-        corpus block — one Arrow split + one buffer-vectorized hash."""
-        col = _text_array(batch[text_col])
-        parts = pc.split_pattern(col, pattern=sep)
-        flat = pc.list_flatten(parts)
-        parents = pc.list_parent_indices(parts).to_numpy(zero_copy_only=False)
-        offs = np.asarray(parts.offsets)
-        line_no = np.arange(len(flat), dtype=np.int64) - offs[parents]
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)[parents]
-        return hash_strings(flat).view(np.int64), flat, ids, line_no
-
     def explode_partition(batch: pa.Table):
-        """Exchange map side: split one corpus block into lines, mark
-        block-local losers (the combiner — they are definite global
-        drops and never enter the exchange), and key the block-first
-        candidates by line_hash.  Returns (local_drops, key, cands)."""
-        h, flat, ids, line_no = split_lines(batch)
-        order, sorted_text, dup = first_occurrence_dups(h, flat, ids, line_no)
-        hs, idss, lns = h[order], ids[order], line_no[order]
-        drops = pa.table({"doc_id": pa.array(idss[dup], type=pa.int64()),
-                          "line_no": pa.array(lns[dup], type=pa.int64())})
-        keep = ~dup
-        hk = hs[keep]
+        """Exchange map side, the BLOCK-LOCAL COMBINER: split one corpus
+        block into lines in (doc_id, line_no) order and find each
+        distinct line's first occurrence with ONE dictionary_encode —
+        the dictionary numbers lines by first appearance, so a line is
+        new exactly where its index exceeds every earlier index.  The
+        first occurrences are the candidates (only the distinct lines
+        are hashed; the dictionary ships as their ``line``), every
+        other occurrence is a definite global drop (the side output).
+        Returns (local_drops, key, cands)."""
+        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        col = _text_array(batch[text_col])
+        if (ids[1:] < ids[:-1]).any():
+            order = np.argsort(ids, kind="stable")
+            ids, col = ids[order], col.take(pa.array(order))
+        parts = pc.split_pattern(col, pattern=sep)
+        parents = pc.list_parent_indices(parts).to_numpy(zero_copy_only=False)
+        line_no = (np.arange(len(parents), dtype=np.int64)
+                   - np.asarray(parts.offsets)[parents])
+        line_ids = ids[parents]
+        enc = pc.dictionary_encode(pc.list_flatten(parts))
+        idx = enc.indices.to_numpy(zero_copy_only=False)
+        new = np.ones(len(idx), dtype=bool)
+        new[1:] = idx[1:] > np.maximum.accumulate(idx[:-1])
+        h = hash_strings(enc.dictionary).view(np.int64)
+        drops = pa.table({"doc_id": pa.array(line_ids[~new]),
+                          "line_no": pa.array(line_no[~new])})
         cands = pa.table({
-            "line_hash": pa.array(hk),
-            "line": sorted_text.filter(pa.array(keep)),
-            "doc_id": pa.array(idss[keep], type=pa.int64()),
-            "line_no": pa.array(lns[keep], type=pa.int64()),
+            "line_hash": pa.array(h),
+            "line": enc.dictionary,
+            "doc_id": pa.array(line_ids[new]),
+            "line_no": pa.array(line_no[new]),
         })
-        return drops, hk.view(np.uint64), cands
+        return drops, h.view(np.uint64), cands
 
     def resolve(tbl: pa.Table) -> pa.Table:
         """Exchange reduce side: all of one bucket's candidates at once —
@@ -1277,8 +1283,8 @@ def line_dedup(ds: rd.Dataset, id_col: str = "doc_id",
     # output into a sorted (doc_id, line_no) array pair and the driver
     # fetches only the count (the corpus text never moves for this).
     # The common case (organic dup rates) fits comfortably in the object
-    # store as that one pair, so the rebuild becomes a plain map_batches
-    # over the corpus blocks with a broadcast searchsorted lookup — NO
+    # store as that one pair, so the rebuild becomes one raw task per
+    # corpus block with a broadcast searchsorted lookup — NO
     # text shuffle at all.  Only a pathological drop set (more than
     # ``broadcast_max`` rows) falls back to the doc_id-keyed cogroup,
     # which shuffles the corpus once.

@@ -22,6 +22,18 @@ owns four decisions so its callers write none of them:
   caller's declared ``schema.empty_table()``; ``reduce_fn`` is not
   called.
 
+Reduce tasks are sized to the cluster, not to the bucket count:
+``n_buckets`` is the hash space, and R = min(n_buckets, cluster CPUs)
+reduce tasks each own a contiguous bucket range (``reduce_bounds``).
+A partition task returns one slot per reduce task — its rows of that
+range in bucket order plus the bucket offsets — so a pass creates
+B x R exchange objects and R reduce tasks, not B x n_buckets and
+n_buckets.  A reduce task concatenates and reduces ONE bucket at a
+time and still returns one ref per bucket, so ``reduced[b]`` is bucket
+b's table at any R.  The memory trade-off: a reduce task's arguments
+are its whole bucket range (about 1/R of the exchanged rows), while
+its working set stays one bucket plus the outputs it has built.
+
 ``default_n_buckets`` is the shared bucket count for operators that
 size from the cluster.  The router ``hash_key`` (uint64 key from an
 int64 key and optional salt) is shared so that the two sides of one
@@ -247,42 +259,67 @@ def default_n_buckets() -> int:
     return max(4, min(32, int(ray.cluster_resources().get("CPU", 8)) // 2))
 
 
+def _bucket_sort(tbl: pa.Table, key: np.ndarray,
+                 n_buckets: int) -> tuple[pa.Table, np.ndarray]:
+    """``tbl`` in bucket order (row i in bucket ``key[i] % n_buckets``,
+    ONE stable argsort and take) and the bucket offsets into it."""
+    if n_buckets == 1:
+        return tbl, np.array([0, tbl.num_rows])
+    bucket = (np.asarray(key).astype(np.uint64, copy=False)
+              % np.uint64(n_buckets)).astype(np.int64)
+    counts = np.bincount(bucket, minlength=n_buckets)
+    if (bucket[1:] < bucket[:-1]).any():
+        tbl = tbl.take(pa.array(np.argsort(bucket, kind="stable")))
+    return tbl, np.concatenate(([0], np.cumsum(counts)))
+
+
 def partition_by_bucket(tbl: pa.Table, key: np.ndarray,
                         n_buckets: int) -> list[pa.Table]:
     """Split one table into ``n_buckets`` slices, row i to slice
     ``key[i] % n_buckets`` (``key``: uint64 per row), with ONE stable
     argsort + zero-copy slicing (no per-bucket filter passes)."""
-    if n_buckets == 1:
-        return [tbl]
-    bucket = (np.asarray(key).astype(np.uint64, copy=False)
-              % np.uint64(n_buckets)).astype(np.int64)
-    order = np.argsort(bucket, kind="stable")
-    tbl = tbl.take(pa.array(order))
-    counts = np.bincount(bucket, minlength=n_buckets)
-    offs = np.concatenate(([0], np.cumsum(counts)))
-    return [tbl.slice(offs[b], counts[b]) for b in range(n_buckets)]
+    tbl, offs = _bucket_sort(tbl, key, n_buckets)
+    return [tbl.slice(offs[b], offs[b + 1] - offs[b])
+            for b in range(n_buckets)]
+
+
+def reduce_bounds(n_buckets: int) -> list[int]:
+    """Bucket bounds of the exchange's reduce tasks: R = min(n_buckets,
+    cluster CPUs) tasks, task g owning buckets [bounds[g], bounds[g+1])
+    (g * n_buckets // R, so the ranges differ in size by one at most)."""
+    import ray
+
+    r = max(1, min(n_buckets, int(ray.cluster_resources().get("CPU", 1))))
+    return [g * n_buckets // r for g in range(r + 1)]
 
 
 _NO_ROWS = pa.table({})
 
 
-def _partition_task(partition_fn, n_buckets: int, side: pa.Schema | None):
+def _partition_task(partition_fn, n_buckets: int, bounds: list[int],
+                    side: pa.Schema | None):
     """The remote partition task shared by both exchanges: one input
-    block in, ``n_buckets`` slices out (after the side output, if any).
-    A zero-row block never reaches ``partition_fn``."""
+    block in, one slot per reduce task out (after the side output, if
+    any).  Slot g is ``(offs, rows)``: the rows of buckets
+    [bounds[g], bounds[g+1]) in bucket order and the bucket offsets
+    into them.  A zero-row block never reaches ``partition_fn``."""
     import ray
 
-    n_out = n_buckets + (side is not None)
+    n_slots = len(bounds) - 1
+    n_out = n_slots + (side is not None)
 
     @ray.remote(num_returns=n_out)
     def _part(tbl: pa.Table):
         if tbl.num_rows == 0:
-            out = [_NO_ROWS] * n_buckets
+            out = [(None, _NO_ROWS)] * n_slots
             if side is not None:
                 out = [side.empty_table()] + out
         else:
             res = partition_fn(tbl)
-            out = partition_by_bucket(res[-1], res[-2], n_buckets)
+            rows, offs = _bucket_sort(res[-1], res[-2], n_buckets)
+            out = [(offs[lo:hi + 1] - offs[lo],
+                    rows.slice(offs[lo], offs[hi] - offs[lo]))
+                   for lo, hi in zip(bounds[:-1], bounds[1:])]
             if side is not None:
                 out = [res[0]] + out
         return tuple(out) if n_out > 1 else out[0]
@@ -290,16 +327,32 @@ def _partition_task(partition_fn, n_buckets: int, side: pa.Schema | None):
     return _part
 
 
-def _concat_rows(tables) -> pa.Table | None:
-    """One chunk-combined table of the slices that hold rows, or None."""
-    live = [t for t in tables if t.num_rows]
-    return pa.concat_tables(live).combine_chunks() if live else None
+def _bucket_tables(slots, n: int):
+    """The ``n`` buckets of one reduce task's slots, one chunk-combined
+    table each (None for a bucket without rows), built one bucket at a
+    time as the reduce consumes them."""
+    live = [(offs, rows) for offs, rows in slots if rows.num_rows]
+    for j in range(n):
+        parts = [rows.slice(offs[j], offs[j + 1] - offs[j])
+                 for offs, rows in live if offs[j + 1] > offs[j]]
+        yield pa.concat_tables(parts).combine_chunks() if parts else None
 
 
 def _fanout(part, refs, n_out: int) -> list:
     """Launch one partition task per ref; each result indexes by slot."""
     outs = [part.remote(r) for r in refs]
     return [[o] for o in outs] if n_out == 1 else outs
+
+
+def _grouped_reduce(reduce_task, bounds: list[int], args_of) -> list:
+    """Launch reduce task g with ``args_of(g)`` and ``bounds[g+1] -
+    bounds[g]`` returns; the refs, one per bucket in bucket order."""
+    refs = []
+    for g in range(len(bounds) - 1):
+        n = bounds[g + 1] - bounds[g]
+        out = reduce_task.options(num_returns=n).remote(n, *args_of(g))
+        refs.extend(out if n > 1 else [out])
+    return refs
 
 
 def bucket_exchange(refs, n_buckets: int, partition_fn, reduce_fn,
@@ -313,10 +366,11 @@ def bucket_exchange(refs, n_buckets: int, partition_fn, reduce_fn,
     size (see BASELINE.md, exact_dedup_corpus probe; hash_shuffle is
     worse at ~22 s).  For operators that only need "co-locate rows by a
     bounded bucket key, then reduce each bucket once", a classic
-    map-side partition + per-bucket reduce does the same exchange with
-    plain tasks: B partition tasks each return ``n_buckets`` slices
-    (``num_returns``), then ``n_buckets`` reduce tasks concat+reduce
-    their B slices.  Everything stays in the object store (spill-backed)
+    map-side partition + reduce does the same exchange with plain
+    tasks: B partition tasks each return one slot per reduce task
+    (``num_returns``), then R = min(n_buckets, cluster CPUs) reduce
+    tasks each concat+reduce the B slices of their buckets, one bucket
+    at a time.  Everything stays in the object store (spill-backed)
     — the driver only holds refs — so the pattern is cluster-shaped:
     on a multi-node cluster the partition outputs are fetched
     node-to-node exactly like any shuffle.
@@ -333,26 +387,27 @@ def bucket_exchange(refs, n_buckets: int, partition_fn, reduce_fn,
     tests/test_exchange_fault_tolerance.py (a partition task and a
     reduce task each os._exit(1) on first attempt; results unchanged).
 
-    Returns (side_refs, reduced_refs); feed either into
-    ``ray.data.from_arrow_refs`` to continue as a Dataset.
+    Returns (side_refs, reduced_refs), ``reduced_refs[b]`` bucket b's
+    table; feed either into ``ray.data.from_arrow_refs`` to continue as
+    a Dataset.
     """
     import ray
 
-    n_out = n_buckets + (side is not None)
-    outs = _fanout(_partition_task(partition_fn, n_buckets, side), refs,
-                   n_out)
+    bounds = reduce_bounds(n_buckets)
+    n_out = len(bounds) - 1 + (side is not None)
+    outs = _fanout(_partition_task(partition_fn, n_buckets, bounds, side),
+                   refs, n_out)
 
     @ray.remote
-    def _reduce(*tables):
-        t = _concat_rows(tables)
-        return schema.empty_table() if t is None else reduce_fn(t)
+    def _reduce(n, *slots):
+        out = [schema.empty_table() if t is None else reduce_fn(t)
+               for t in _bucket_tables(slots, n)]
+        return tuple(out) if n > 1 else out[0]
 
-    start = n_out - n_buckets
+    start = int(side is not None)
     side_refs = [o[0] for o in outs] if start else []
-    reduced = [
-        _reduce.remote(*[o[start + b] for o in outs])
-        for b in range(n_buckets)
-    ]
+    reduced = _grouped_reduce(_reduce, bounds,
+                              lambda g: [o[start + g] for o in outs])
     return side_refs, reduced
 
 
@@ -392,54 +447,67 @@ def merge_sorted(refs, cols: list[str], max_rows: int):
 
 
 def map_blocks(ds, fn, schema: pa.Schema):
-    """``fn`` over every whole pyarrow block of a materialized ``ds`` —
-    the broadcast branch beside merge_sorted.  A ``ds`` without rows
-    gives one ``schema.empty_table()`` block, where ``map_batches``
-    would emit no block and leave the result without a schema."""
+    """``fn`` over every whole pyarrow block of a materialized ``ds``,
+    one raw task per block — the broadcast branch beside merge_sorted,
+    returned like the exchanges' outputs (``from_arrow_refs``), so no
+    second Ray Data plan starts.  A zero-row block, and a ``ds`` without
+    blocks, give ``schema.empty_table()``: every output block carries
+    the declared schema."""
+    import ray
     import ray.data as rd
 
-    if not ds.count():
-        return rd.from_arrow(schema.empty_table())
-    return ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
+    @ray.remote
+    def _map_block(tbl: pa.Table) -> pa.Table:
+        return fn(tbl) if tbl.num_rows else schema.empty_table()
+
+    # named like Ray Data's map operators, "MapBatches(fn)"
+    task = _map_block.options(name=f"MapBlocks({fn.__name__})")
+    refs = [task.remote(r) for r in block_refs(ds)]
+    return rd.from_arrow_refs(refs or [ray.put(schema.empty_table())])
 
 
 def join_exchange(left_refs, right_refs, n_buckets: int,
                   part_left_fn, part_right_fn, reduce_fn,
                   schemas: tuple[pa.Schema, pa.Schema, pa.Schema]):
     """Two-SIDED bucket exchange: both ref lists are hash-partitioned on
-    the same key space, then one reduce task per bucket receives the
-    bucket's left AND right slices — the classic partitioned hash join
-    (the large-x-large complement of the repo's broadcast joins, which
+    the same key space, then each reduce task receives its buckets' left
+    AND right slices — the classic partitioned hash join (the
+    large-x-large complement of the repo's broadcast joins, which
     require one side to fit in the object store as a single ray.put).
 
-    Same contract as ``bucket_exchange`` per side: each partition fn
-    returns (key, table).  ``schemas`` is (left, right, out):
-    ``reduce_fn(left, right) -> pa.Table`` runs once per bucket that
-    holds rows, with a side that has none handed in as its schema's
-    empty table; a bucket empty on both sides returns the out schema's
-    empty table.  Same scale argument as ``bucket_exchange``:
-    everything stays in the (spill-backed) object store, and on a real
-    cluster the slices move node-to-node like any shuffle.  The
-    co-partitioning contract is the caller's: both partition fns must
-    give equal keys equal ``key`` values."""
+    Same contract as ``bucket_exchange`` per side (and the same
+    R = min(n_buckets, cluster CPUs) reduce tasks, one ref per bucket
+    out): each partition fn returns (key, table).  ``schemas`` is
+    (left, right, out): ``reduce_fn(left, right) -> pa.Table`` runs
+    once per bucket that holds rows, with a side that has none handed
+    in as its schema's empty table; a bucket empty on both sides
+    returns the out schema's empty table.  Same scale argument as
+    ``bucket_exchange``: everything stays in the (spill-backed) object
+    store, and on a real cluster the slices move node-to-node like any
+    shuffle.  The co-partitioning contract is the caller's: both
+    partition fns must give equal keys equal ``key`` values."""
     import ray
 
     l_schema, r_schema, schema = schemas
-    louts = _fanout(_partition_task(part_left_fn, n_buckets, None),
-                    left_refs, n_buckets)
-    routs = _fanout(_partition_task(part_right_fn, n_buckets, None),
-                    right_refs, n_buckets)
+    bounds = reduce_bounds(n_buckets)
+    n_out = len(bounds) - 1
+    louts = _fanout(_partition_task(part_left_fn, n_buckets, bounds, None),
+                    left_refs, n_out)
+    routs = _fanout(_partition_task(part_right_fn, n_buckets, bounds, None),
+                    right_refs, n_out)
 
-    @ray.remote
-    def _reduce(nl, *tables):
-        lt, rt = _concat_rows(tables[:nl]), _concat_rows(tables[nl:])
+    def pair(lt, rt):
         if lt is None and rt is None:
             return schema.empty_table()
         return reduce_fn(l_schema.empty_table() if lt is None else lt,
                          r_schema.empty_table() if rt is None else rt)
 
-    return [
-        _reduce.remote(len(louts), *[o[b] for o in louts],
-                       *[o[b] for o in routs])
-        for b in range(n_buckets)
-    ]
+    @ray.remote
+    def _reduce(n, nl, *slots):
+        out = [pair(lt, rt) for lt, rt in zip(
+            _bucket_tables(slots[:nl], n), _bucket_tables(slots[nl:], n))]
+        return tuple(out) if n > 1 else out[0]
+
+    return _grouped_reduce(
+        _reduce, bounds,
+        lambda g: [len(louts), *[o[g] for o in louts], *[o[g] for o in routs]])

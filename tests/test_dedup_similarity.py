@@ -339,6 +339,50 @@ def test_line_dedup_first_occurrence_wins(ray_session):
     pd.testing.assert_frame_equal(out, out_cg)
 
 
+def _first_occurrence_kept(docs):
+    """{doc_id: kept lines} by a plain-Python pass in (doc_id, line_no)
+    order, a NULL text read as one empty line."""
+    seen, kept = set(), {}
+    for d in sorted(docs, key=lambda d: d["doc_id"]):
+        kept[d["doc_id"]] = []
+        for line in (d["text"] or "").split("\n"):
+            if line not in seen:
+                seen.add(line)
+                kept[d["doc_id"]].append(line)
+    return kept
+
+
+def test_line_dedup_combiner_matches_python_pass(ray_session):
+    """ONE block, so the block-local combiner decides every drop: doc_ids
+    out of order, a doc that repeats its own line, empty lines and a
+    NULL text, against a plain-Python first-occurrence pass."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from json_remedy_ray.stages.dedup import line_dedup
+
+    docs = [
+        {"doc_id": 7, "text": "b\nshared\n\nlate"},
+        {"doc_id": 2, "text": "a\nrepeat\nrepeat\nshared"},
+        {"doc_id": 9, "text": None},
+        {"doc_id": 4, "text": "\nshared\nb\n"},
+        {"doc_id": 1, "text": "late\n\n\nx"},
+        {"doc_id": 5, "text": ""},
+    ]
+    tbl = pa.Table.from_pylist(docs, schema=pa.schema(
+        [("doc_id", pa.int64()), ("text", pa.string())]))
+    want = _first_occurrence_kept(docs)
+    for bm in (1 << 25, -1):
+        out = line_dedup(rd.from_arrow(tbl), n_buckets=3,
+                         broadcast_max=bm).to_pandas()
+        got = {r.doc_id: (r.text_dedup, r.n_kept, r.n_lines)
+               for r in out.itertuples()}
+        assert got == {d["doc_id"]: ("\n".join(want[d["doc_id"]]),
+                                     len(want[d["doc_id"]]),
+                                     (d["text"] or "").count("\n") + 1)
+                       for d in docs}
+
+
 # an empty drop set still broadcasts at broadcast_max=0; -1 forces the
 # cogroup fallback
 @pytest.mark.parametrize("broadcast_max", [1 << 25, 0, -1])

@@ -321,11 +321,17 @@ _OPERATORS = [_line_dedup, _crossdoc_span_dedup, _crossdoc_ngram_stats,
               _embedding_neardup_pairs, _stratified_sample_k]
 
 
+# on the 4-CPU test cluster these run 3, 4 and 4 reduce tasks: 5
+# buckets make one uneven group, 8 buckets two buckets per task
+_BUCKET_COUNTS = (3, 5, 8)
+
+
 @pytest.mark.parametrize("op", _OPERATORS, ids=lambda f: f.__name__[1:])
 def test_bucket_count_invariance(ray_session, op):
-    one, five = op(1), op(5)
+    one = _sorted(op(1))
     assert len(one) > 0
-    pd.testing.assert_frame_equal(_sorted(one), _sorted(five))
+    for nb in _BUCKET_COUNTS:
+        pd.testing.assert_frame_equal(one, _sorted(op(nb)))
 
 
 def test_bucket_count_invariance_dedup_rate_by_source(ray_session,
@@ -334,9 +340,88 @@ def test_bucket_count_invariance_dedup_rate_by_source(ray_session,
 
     pq.write_table(_corpus(), tmp_path / "documents.parquet")
     one = dedup_rate_by_source(str(tmp_path), n_buckets=1)
-    five = dedup_rate_by_source(str(tmp_path), n_buckets=5)
     assert (one["n_docs"] > one["n_distinct"]).any()
-    pd.testing.assert_frame_equal(one, five)
+    for nb in _BUCKET_COUNTS:
+        pd.testing.assert_frame_equal(
+            one, dedup_rate_by_source(str(tmp_path), n_buckets=nb))
+
+
+# ------------------------------------------- reduce tasks sized to the CPUs
+
+def test_reduce_bounds_split_buckets_over_the_cpus(ray_session):
+    from json_remedy_ray.state.partitioning import reduce_bounds
+
+    assert reduce_bounds(1) == [0, 1]
+    assert reduce_bounds(3) == [0, 1, 2, 3]
+    assert reduce_bounds(5) == [0, 1, 2, 3, 5]
+    assert reduce_bounds(8) == [0, 2, 4, 6, 8]
+    assert reduce_bounds(256)[1:3] == [64, 128]
+
+
+@pytest.mark.parametrize("nb", (1, 3, 5, 8))
+def test_reduced_refs_are_in_bucket_order(ray_session, nb):
+    """``reduced[b]`` holds exactly bucket b's rows, and each bucket is
+    reduced on its own, whatever reduce task owns it."""
+    import ray
+
+    from json_remedy_ray.state.partitioning import bucket_exchange
+
+    def red(t: pa.Table) -> pa.Table:
+        x = np.sort(t["x"].to_numpy())
+        return pa.table({"s": pa.array([int(x.sum())]),
+                         "rows": pa.array([len(x)])})
+
+    refs = [ray.put(b) for b in _blocks()]
+    _, reduced = bucket_exchange(refs, nb, _fns(False)[0], red, _OUT)
+    assert len(reduced) == nb
+    got = [t.to_pylist() for t in ray.get(reduced)]
+    want = [[{"s": sum(x for x in range(35) if x % nb == b),
+              "rows": len(range(b, 35, nb))}] for b in range(nb)]
+    assert got == want
+
+
+@pytest.mark.parametrize("nb", (1, 3, 5, 8))
+def test_global_rank_pins_bucket_order(ray_session, nb):
+    """global_rank offsets each bucket by the rows of the buckets before
+    it, so a reduced list out of bucket order gives wrong ranks."""
+    from json_remedy_ray.stages.rank import global_rank
+
+    rng = np.random.default_rng(nb)
+    key = rng.integers(0, 40, 300)
+    t = pa.table({"doc_id": pa.array(np.arange(300), pa.int64()),
+                  "k": pa.array(key, pa.int64())})
+    out = global_rank(_ds(t, 6), "k", "doc_id", n_buckets=nb).to_pandas()
+    want = np.empty(300, dtype=np.int64)
+    want[np.lexsort((np.arange(300), -key))] = np.arange(1, 301)
+    out = out.sort_values("doc_id")
+    assert out["rank"].tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("with_side", [False, True])
+def test_partition_task_returns_one_slot_per_reduce_task(
+        ray_session, monkeypatch, with_side):
+    """At 8 buckets on 4 CPUs a partition task returns 4 slots (plus the
+    side output), not one object per bucket."""
+    import ray
+
+    from json_remedy_ray.state import partitioning
+
+    launched = []
+    real = partitioning._fanout
+
+    def spy(part, refs, n_out):
+        outs = real(part, refs, n_out)
+        launched.extend(outs)
+        return outs
+
+    monkeypatch.setattr(partitioning, "_fanout", spy)
+    refs = [ray.put(b) for b in _blocks()]
+    side, red = partitioning.bucket_exchange(
+        refs, 8, *_fns(with_side), _OUT, side=_SIDE if with_side else None)
+    assert len(red) == 8
+    assert sum(t["rows"][0].as_py() for t in ray.get(red)) == 35
+    assert len(launched) == len(refs)
+    assert {len(o) for o in launched} == {4 + with_side}
 
 
 # ------------------------------------------------- schema-stable outputs
@@ -369,6 +454,9 @@ def test_line_dedup_fallback_schema_matches_broadcast(ray_session):
     schema = bc[0].schema
     assert schema.field("text_dedup").type == pa.large_string()
     _assert_one_schema(bc, schema)
+    mixed = _blocks_of(line_dedup(_with_empty_block(tbl)))
+    assert [t.num_rows for t in mixed] == [24, 0, 24]
+    _assert_one_schema(mixed, schema)
     import ray.data as rd
 
     empty = rd.from_arrow(_LARGE.empty_table())
@@ -376,6 +464,41 @@ def test_line_dedup_fallback_schema_matches_broadcast(ray_session):
     for src in (_ds(tbl), empty):
         fb = line_dedup(src, n_buckets=5, broadcast_max=-1)
         _assert_one_schema(_blocks_of(fb), schema)
+
+
+def _with_empty_block(tbl: pa.Table):
+    """``tbl`` as three blocks, the middle one without rows."""
+    import ray
+    import ray.data as rd
+
+    half = tbl.num_rows // 2
+    return rd.from_arrow_refs([ray.put(tbl.slice(0, half)),
+                               ray.put(tbl.slice(0, 0)),
+                               ray.put(tbl.slice(half))])
+
+
+def test_map_blocks_keeps_declared_schema(ray_session):
+    """A zero-row block among non-empty ones, and a corpus without rows,
+    give blocks of the declared schema (the block fn never sees them)."""
+    import ray.data as rd
+
+    from json_remedy_ray.state.partitioning import map_blocks
+
+    want = pa.schema([("doc_id", pa.int64()), ("n", pa.int64())])
+
+    def count_chars(t: pa.Table) -> pa.Table:
+        assert t.num_rows > 0, "block fn called on a zero-row block"
+        return pa.table({"doc_id": t["doc_id"],
+                         "n": pc.utf8_length(t["text"]).cast(pa.int64())})
+
+    c = _corpus()
+    mixed = _blocks_of(map_blocks(_with_empty_block(c), count_chars, want))
+    assert [t.num_rows for t in mixed] == [24, 0, 24]
+    _assert_one_schema(mixed, want)
+    for empty in (rd.from_arrow(c.slice(0, 0)),
+                  rd.from_arrow(c).filter(expr="doc_id < 0")):
+        _assert_one_schema(_blocks_of(map_blocks(empty, count_chars, want)),
+                           want)
 
 
 def test_crossdoc_span_dedup_fallback_schema(ray_session):

@@ -8,6 +8,7 @@ import tempfile
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 import json_remedy_ray.functions.queries as q
 
@@ -80,4 +81,35 @@ def test_pack_docs_null_source_matches_oracle(ray_session, tmp_path):
     cols = ["source", "doc_id", "bin_id", "tok_offset"]
     norm = lambda df: _norm(df[cols].fillna({"source": "<null>"}), ["source", "doc_id"])  # noqa: E731
     assert len(got) == len(want) == 3
+    pd.testing.assert_frame_equal(norm(got), norm(want), check_dtype=False)
+
+
+@pytest.mark.parametrize("name", ["pack_sequences_documents",
+                                  "pack_sequences_concat",
+                                  "pack_sequences_bpe",
+                                  "pack_sequences_bpe_concat"])
+def test_pack_null_source_docs_all_reach_oracle(ray_session, tmp_path, name):
+    """Three NULL-source docs are one source: every one of them is
+    packed, in the engine and in the oracle's recursive CTE (whose join
+    on ``source`` must match NULL to NULL)."""
+    import duckdb
+
+    pq.write_table(pa.table({
+        "doc_id": pa.array([0, 1, 2, 3, 4], pa.int64()),
+        "source": ["web", None, None, "web", None],
+        "text": ["a b c", "d e", " ".join(["w"] * 200), "f",
+                 " ".join(["x"] * 100)]}), tmp_path / "documents.parquet")
+    got = q.QUERIES[name](str(tmp_path)).to_pandas()
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW documents AS SELECT * FROM "
+                f"read_parquet('{tmp_path}/documents.parquet')")
+    want = con.execute(q.ORACLES[name]).df()
+    cols = sorted(want.columns)
+
+    def norm(df):
+        df = df[cols].fillna({"source": "<null>"})
+        return df.sort_values(cols).reset_index(drop=True)
+
+    assert len(want) == len(got)
+    assert len(got) == (5 if "doc_id" in cols else 3)   # NULL: two bins
     pd.testing.assert_frame_equal(norm(got), norm(want), check_dtype=False)
