@@ -5426,7 +5426,7 @@ def winnow_planted_recovery(sf_dir: str, n_buckets: int = 32,
     posture), an order heavier than MinHash's fixed bands-per-doc; use
     MinHash when candidates-per-byte matter, winnowing when
     edit-position robustness does."""
-    from json_remedy_ray.stages.dedup import components_from_pairs
+    from json_remedy_ray.stages.dedup import _identical_runs, components_from_pairs
     from json_remedy_ray.stages.textstats import _winnow_batch
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text", "n_chars"])
@@ -5452,25 +5452,13 @@ def winnow_planted_recovery(sf_dir: str, n_buckets: int = 32,
                               "doc_id": pa.array(p_s)})
 
     def red(t: pa.Table) -> pa.Table:
-        fps = t["fp"].to_numpy(zero_copy_only=False)
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, fps))
-        f_s, i_s = fps[order], ids[order]
         # cross-block distinct (fp, doc), then chain pairs per fp run
-        first = np.ones(len(f_s), dtype=bool)
-        first[1:] = (f_s[1:] != f_s[:-1]) | (i_s[1:] != i_s[:-1])
-        f_s, i_s = f_s[first], i_s[first]
-        same = f_s[1:] == f_s[:-1]
-        a, b = i_s[:-1][same], i_s[1:][same]
-        if not len(a):
-            return _PAIRS.empty_table()
-        # dedup pairs bucket-wide (many fps connect the same doc pair)
-        order2 = np.lexsort((b, a))
-        a_s, b_s = a[order2], b[order2]
-        keep = np.ones(len(a_s), dtype=bool)
-        keep[1:] = (a_s[1:] != a_s[:-1]) | (b_s[1:] != b_s[:-1])
-        return pa.table({"doc_a": pa.array(a_s[keep]),
-                         "doc_b": pa.array(b_s[keep])}).cast(_PAIRS)
+        _, _, a, b = _identical_runs(t["doc_id"].to_numpy(),
+                                     (t["fp"].to_numpy(),))
+        # distinct pairs bucket-wide (many fps connect the same doc pair)
+        keep = _identical_runs(b, (a,))[0]
+        return pa.table({"doc_a": pa.array(a[keep]),
+                         "doc_b": pa.array(b[keep])}).cast(_PAIRS)
 
     _, reduced = bucket_exchange(block_refs(ds), n_buckets, part, red,
                                  _PAIRS)

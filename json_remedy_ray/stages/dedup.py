@@ -29,23 +29,24 @@ shuffle-join; this design pays ~512 bytes per band row instead.
 Degenerate (giant) LSH buckets are NOT truncated and bucket closure is
 EXACT at any size (advisor round-3 finding: the earlier 1-row-overlap
 chunk pass could drop a qualifying pair whose signatures sort >1 chunk
-apart).  Identical signatures collapse first (one lexsort); the
-DISTINCT signatures are then verified all-pairs in bounded tiles up to
-``_EXACT_ALLPAIRS_CAP`` rows, and beyond that via a pigeonhole segment
-pass: a pair with est >= t disagrees on at most d = P - ceil(t*P)
-minhash columns, so among d+1 column segments at least one is FULLY
-equal — sort-group by each segment value and all-pairs inside the
-equal runs finds every qualifying pair.  The PAIR list inside an
-identical-signature cluster is its N-1 CHAIN (doc_id order, per band)
-— a spanning tree, not O(N^2) or O(N*chunk) pairs (emitting those for
-a million-doc identical cluster is the thing a 100 TB run must not
-do).
+apart).  Every near-dup family (MinHash, SimHash, embedding cosine)
+answers "which rows of a bucket clear the threshold" with the same
+steps: ``_identical_runs`` collapses identical signatures with one sort
+and gives each run's doc_id-order CHAIN (a spanning tree, not O(N^2)
+pairs — emitting those for a million-doc identical cluster is the thing
+a 100 TB run must not do); ``_tiled_pairs`` verifies distinct rows
+all-pairs in bounded tiles up to ``_EXACT_ALLPAIRS_CAP`` rows; beyond
+that ``_pigeonhole_pairs`` sort-groups each segment of a pigeonhole
+cover (a MinHash pair with est >= t disagrees on at most
+d = P - ceil(t*P) columns, so among d+1 column segments at least one is
+FULLY equal) and verifies the equal-key runs exactly.
 
-Connected components: candidate pairs are near-dups only (a tiny
-fraction of the corpus), so the final union-find runs on the driver;
-at larger dup rates ``components_min_label`` runs iterative min-label
-propagation on exchange tasks — the pairs Dataset is the stable
-interface either way.
+Connected components: ``_minlabel_components`` is the one labeler
+(vectorized min-label propagation).  Candidate pairs are near-dups only
+(a tiny fraction of the corpus), so ``components_from_pairs`` labels
+them on the driver; at larger dup rates ``components_min_label`` runs
+the same propagation on exchange tasks — the pairs Dataset is the
+stable interface either way.
 """
 
 from __future__ import annotations
@@ -67,9 +68,8 @@ from json_remedy_ray.stages.textstats import ws_split
 from json_remedy_ray.state.partitioning import block_refs
 
 _MERSENNE = (1 << 61) - 1
-_BUCKET_CHUNK = 256          # verification chunk size, NOT a drop cap
-_EXACT_ALLPAIRS_CAP = 4096   # distinct sigs verified all-pairs (tiled)
-_PAIR_TILE = 512             # all-pairs tile edge (bounds eq-matrix RAM)
+_EXACT_ALLPAIRS_CAP = 4096   # rows verified all-pairs (tiled); pigeonhole past it
+_PAIR_TILE = 512             # all-pairs tile edge (bounds the score matrix RAM)
 
 
 def _perm_params(num_perm: int, seed: int = 42) -> tuple[np.ndarray, np.ndarray]:
@@ -77,13 +77,6 @@ def _perm_params(num_perm: int, seed: int = 42) -> tuple[np.ndarray, np.ndarray]
     a = rng.randint(1, _MERSENNE, size=num_perm, dtype=np.int64).astype(np.uint64)
     b = rng.randint(0, _MERSENNE, size=num_perm, dtype=np.int64).astype(np.uint64)
     return a, b
-
-
-def _shingle_hashes(text: str, k: int = 5) -> np.ndarray:
-    """Base 64-bit hashes of the k-byte shingles of one document
-    (scalar reference path — batch code uses rolling_hashes directly)."""
-    W, _ = rolling_hashes(pa.array([text or ""], type=pa.string()), k)
-    return np.unique(W)
 
 
 def minhash_signature(text: str, a: np.ndarray, b: np.ndarray, k: int = 5) -> np.ndarray:
@@ -154,48 +147,82 @@ class MinHashStage:
         return self.band_rows(ids, sig)
 
 
-def _chunk_component_labels(adj: np.ndarray) -> np.ndarray:
-    """Component labels (min member index) of one chunk's boolean
-    adjacency matrix, by vectorized min-label propagation — O(diameter)
-    iterations of one masked row-min each, no Python per edge."""
-    n = len(adj)
-    adj = adj | np.eye(n, dtype=bool)
-    lab = np.arange(n)
-    while True:
-        nl = np.where(adj, lab[None, :], n).min(axis=1)
-        if np.array_equal(nl, lab):
-            return lab
-        lab = nl
+def _drop_null_ids(tbl: pa.Table, id_col: str) -> pa.Table:
+    """``tbl`` without its NULL-id rows: a NULL id is never a pair
+    endpoint."""
+    return tbl.filter(tbl[id_col].is_valid()) if tbl[id_col].null_count else tbl
 
 
-def _allpairs_tiled(pos: np.ndarray, MR: np.ndarray, threshold: float,
-                    tile: int = _PAIR_TILE):
-    """Every (i, j) with i < j among ``pos`` rows of signature matrix
-    ``MR`` whose column-agreement fraction >= threshold, computed in
-    tile x tile blocks so the eq matrix never exceeds
-    tile^2 * num_perm bytes.  Returns (gi, gj, est) as GLOBAL row
-    indices with gi < gj (pos is sorted first, so tile order implies
-    index order)."""
-    pos = np.sort(np.asarray(pos))
+def _new_runs(*cols) -> np.ndarray:
+    """Run starts of rows sorted by ``cols``: True where any column
+    changes (the first row always starts a run)."""
+    new = np.zeros(len(cols[0]), dtype=bool)
+    new[:1] = True
+    for c in cols:
+        new[1:] |= c[1:] != c[:-1]
+    return new
+
+
+def _identical_runs(ids: np.ndarray, keys, rows: np.ndarray | None = None):
+    """Sort rows by (*keys, ids) and cut them into runs of identical
+    keys — and identical ``rows`` where a key only digests them (a
+    signature's row sum is confirmed by exact row equality).  A
+    repeated (keys, id) row is dropped.  Returns (order, new, a, b): the
+    sort, its run starts, and each run's doc_id-order CHAIN pairs
+    (a[k], b[k]) — N-1 per run, connectivity without the N^2 clique."""
+    order = np.lexsort((ids, *keys[::-1]))
+    new = _new_runs(*(k[order] for k in keys))
+    if rows is not None:
+        c = np.flatnonzero(~new)
+        new[c] = (rows[order[c]] != rows[order[c - 1]]).any(axis=1)
+    io = ids[order]
+    keep = new.copy()
+    keep[1:] |= io[1:] != io[:-1]
+    order, new, io = order[keep], new[keep], io[keep]
+    c = np.flatnonzero(~new)
+    return order, new, io[c - 1], io[c]
+
+
+def _tiled_pairs(rows: np.ndarray, pos, score, hit, tile: int = _PAIR_TILE):
+    """Every (i, j), i < j, among the ``pos`` rows of ``rows`` whose
+    score passes ``hit``: ``score(A, B)`` is the len(A) x len(B) score
+    matrix of two row blocks (on a diagonal tile ``B is A``), taken
+    tile x tile so it never holds more than tile^2 scores.  Returns
+    (gi, gj, score) as global row indices with gi < gj (pos is sorted
+    first, so tile order implies index order)."""
+    pos = np.sort(np.asarray(pos, dtype=np.int64))
     m = len(pos)
-    oi, oj, oe = [], [], []
-    for i0 in range(0, m, tile):
-        A = MR[pos[i0:i0 + tile]]
-        for j0 in range(i0, m, tile):
-            B = MR[pos[j0:j0 + tile]]
-            eq = (A[:, None, :] == B[None, :, :]).mean(axis=2)
-            if j0 == i0:
-                ii, jj = np.nonzero(np.triu(eq >= threshold, k=1))
-            else:
-                ii, jj = np.nonzero(eq >= threshold)
-            if len(ii):
-                oi.append(pos[i0 + ii])
-                oj.append(pos[j0 + jj])
-                oe.append(eq[ii, jj])
-    if not oi:
-        z = np.array([], dtype=np.int64)
-        return z, z.copy(), np.array([], dtype=np.float64)
-    return np.concatenate(oi), np.concatenate(oj), np.concatenate(oe)
+    out = []
+    for i0 in range(0, max(m, 1), tile):       # m == 0: one empty tile
+        A = rows[pos[i0:i0 + tile]]
+        for j0 in range(i0, max(m, 1), tile):
+            B = A if j0 == i0 else rows[pos[j0:j0 + tile]]
+            s = score(A, B)
+            ok = hit(s)
+            ii, jj = np.nonzero(np.triu(ok, k=1) if j0 == i0 else ok)
+            out.append((pos[i0 + ii], pos[j0 + jj], s[ii, jj]))
+    return tuple(np.concatenate(c) for c in zip(*out))
+
+
+def _pigeonhole_pairs(keys, verify):
+    """EXACT pairs through a pigeonhole cover: every qualifying pair has
+    equal keys in at least one segment (``keys`` yields one uint64 key
+    per row for each segment).  Each run of equal keys with >= 2 rows
+    goes to ``verify(pos)``, which returns its exact (i, j, score)
+    pairs; a key collision only lengthens a run.  Work is one sort per
+    segment + sum(run^2) — quadratic only inside runs, which is
+    inherent (the true output can be quadratic there).  A pair found
+    through several segments is kept once."""
+    found = [verify(np.arange(0))]
+    for key in keys:
+        order = np.argsort(key, kind="stable")
+        start = np.flatnonzero(_new_runs(key[order]))
+        size = np.diff(np.append(start, len(key)))
+        found += [verify(order[s:s + m])
+                  for s, m in zip(start[size > 1], size[size > 1])]
+    i, j, v = (np.concatenate(c) for c in zip(*found))
+    _, idx = np.unique(i * len(key) + j, return_index=True)
+    return i[idx], j[idx], v[idx]
 
 
 def _distinct_sig_pairs(MR: np.ndarray, threshold: float):
@@ -207,45 +234,23 @@ def _distinct_sig_pairs(MR: np.ndarray, threshold: float):
     <= _EXACT_ALLPAIRS_CAP rows: tiled all-pairs (exact by
     construction).  Beyond that, pigeonhole segments: est >= t means
     at most d = P - ceil(t*P) columns differ, so splitting the P
-    columns into s = d+1 segments guarantees at least one segment is
-    FULLY equal for every qualifying pair; one lexsort per segment
-    groups equal-segment runs and all-pairs inside each run finds the
-    pair.  Work is s sorts + sum(run^2) — quadratic only inside runs,
-    which is inherent (the true output can be quadratic there).
-    threshold <= 0 degenerates (d >= P) and falls back to all-pairs."""
+    columns into d+1 segments guarantees at least one segment is FULLY
+    equal for every qualifying pair; each segment is keyed by its row
+    sum (minhash values are uniform hashes already).  threshold <= 0
+    degenerates (d >= P) and falls back to all-pairs."""
     D, P = MR.shape
-    k_min = int(np.ceil(threshold * P - 1e-9))
-    d_max = P - k_min
+    d_max = P - int(np.ceil(threshold * P - 1e-9))
+
+    def verify(pos):
+        return _tiled_pairs(
+            MR, pos, lambda A, B: (A[:, None, :] == B[None, :, :]).mean(axis=2),
+            lambda est: est >= threshold)
+
     if D <= _EXACT_ALLPAIRS_CAP or d_max >= P:
-        return _allpairs_tiled(np.arange(D), MR, threshold)
-    s = d_max + 1                              # <= P here
-    bounds = np.linspace(0, P, s + 1).astype(int)
-    fi, fj, fe = [], [], []
-    for si in range(s):
-        lo, hi = bounds[si], bounds[si + 1]
-        seg = MR[:, lo:hi]
-        order = np.lexsort(tuple(seg[:, c] for c in range(hi - lo - 1, -1, -1)))
-        segO = seg[order]
-        same = np.zeros(D, dtype=bool)
-        same[1:] = (segO[1:] == segO[:-1]).all(axis=1)
-        run_id = np.cumsum(~same) - 1
-        cnt = np.bincount(run_id)
-        st = np.concatenate(([0], np.cumsum(cnt)))
-        for r in np.nonzero(cnt >= 2)[0]:
-            i2, j2, e2 = _allpairs_tiled(order[st[r]:st[r + 1]], MR, threshold)
-            if len(i2):
-                fi.append(i2)
-                fj.append(j2)
-                fe.append(e2)
-    if not fi:
-        z = np.array([], dtype=np.int64)
-        return z, z.copy(), np.array([], dtype=np.float64)
-    i = np.concatenate(fi)
-    j = np.concatenate(fj)
-    e = np.concatenate(fe)
-    # the same pair can be rediscovered through several segments
-    _, idx = np.unique(i.astype(np.int64) * D + j, return_index=True)
-    return i[idx], j[idx], e[idx]
+        return verify(np.arange(D))
+    cut = np.linspace(0, P, d_max + 2).astype(int)
+    return _pigeonhole_pairs((MR[:, lo:hi].sum(axis=1)
+                              for lo, hi in zip(cut[:-1], cut[1:])), verify)
 
 
 def _minlabel_components(n: int, ai: np.ndarray, bj: np.ndarray) -> np.ndarray:
@@ -265,107 +270,13 @@ def _minlabel_components(n: int, ai: np.ndarray, bj: np.ndarray) -> np.ndarray:
         lab = l2
 
 
-def _bucket_pairs(g: pd.DataFrame, threshold: float, num_perm: int,
-                  mode: str = "spanning") -> pd.DataFrame:
-    """Candidate pairs within one LSH bucket, verified by
-    signature-estimated Jaccard (fraction of equal minhashes).
-    Bucket closure is EXACT at any bucket size (see
-    _distinct_sig_pairs; the round-3 advisor reproduced a dropped
-    planted pair in a 600-distinct-signature bucket under the old
-    chunk-overlap pass).
-
-    Both modes first collapse IDENTICAL-signature groups — exact
-    duplicates are the dominant duplicate class in web corpora (the
-    240-replica bench corpus is the extreme: 1.2M rows, 5k distinct
-    signatures) — so the eq-matrix work runs over DISTINCT signatures
-    only.
-
-    mode="spanning" (default — the 100-TB shape): members attach to
-    their group's min-doc_id representative as (rep, member, 1.0)
-    stars; the est>=threshold graph over representatives is reduced to
-    one star per connected component rooted at the component's min
-    doc_id, so near-identical clusters ship O(N) rows.  ``est_jaccard``
-    on a rep-graph star row is the DIRECT estimate between the two
-    endpoint docs and can fall below threshold for a
-    transitively-connected member — consumers that need every pairwise
-    estimate use mode="all".
-
-    mode="all": every est>=threshold pair across distinct-signature
-    groups (expanded to member cross-products, the estimate is a pure
-    function of the signatures); IDENTICAL-signature runs emit only
-    their doc_id-order CHAIN pairs (round-2 advice: 600 identical docs
-    emitted 69k pairs; N-1 per band)."""
-    g = g.drop_duplicates("doc_id")
-    empty = pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
-                          "doc_b": pd.Series([], dtype="int64"),
-                          "est_jaccard": pd.Series([], dtype="float64")})
-    if len(g) < 2:
-        return empty
-    g = g.sort_values(["signature", "doc_id"], kind="mergesort")
-    sig = g["signature"].to_numpy()
-    ids_all = g["doc_id"].to_numpy().astype(np.int64)
-    new = np.ones(len(g), dtype=bool)
-    new[1:] = sig[1:] != sig[:-1]
-    grp = np.cumsum(new) - 1
-    rep_pos = np.nonzero(new)[0]
-    D = len(rep_pos)
-    sizes = np.bincount(grp)
-    starts = np.concatenate(([0], np.cumsum(sizes)))
-    rep_ids = ids_all[rep_pos]
-    out = []
-    member = ~new
-    if member.any():
-        ones = pd.Series(np.ones(int(member.sum())), dtype="float64")
-        if mode == "spanning":
-            out.append(pd.DataFrame({
-                "doc_a": pd.Series(rep_ids[grp[member]], dtype="int64"),
-                "doc_b": pd.Series(ids_all[member], dtype="int64"),
-                "est_jaccard": ones,
-            }))
-        else:
-            mpos = np.nonzero(member)[0]
-            out.append(pd.DataFrame({
-                "doc_a": pd.Series(ids_all[mpos - 1], dtype="int64"),
-                "doc_b": pd.Series(ids_all[mpos], dtype="int64"),
-                "est_jaccard": ones,
-            }))
-    if D >= 2:
-        MR = np.frombuffer(b"".join(sig[rep_pos]),
-                           dtype=np.uint64).reshape(D, num_perm)
-        # reorder reps by doc_id so min-label index == min doc_id
-        perm = np.argsort(rep_ids, kind="stable")
-        ri, rj, est = _distinct_sig_pairs(MR[perm], threshold)
-        if len(ri):
-            ids_id = rep_ids[perm]
-            if mode == "spanning":
-                lab = _minlabel_components(D, ri, rj)
-                memb = np.nonzero(lab != np.arange(D))[0]
-                root = lab[memb]
-                MR_id = MR[perm]
-                est_star = (MR_id[root] == MR_id[memb]).mean(axis=1)
-                out.append(pd.DataFrame({
-                    "doc_a": pd.Series(ids_id[root], dtype="int64"),
-                    "doc_b": pd.Series(ids_id[memb], dtype="int64"),
-                    "est_jaccard": pd.Series(est_star, dtype="float64"),
-                }))
-            else:
-                # expand each distinct-sig pair to its member cross
-                # product: sizes/starts are in signature order, map
-                # id-order indices back through perm
-                gi, gj = perm[ri], perm[rj]
-                na, nb = sizes[gi], sizes[gj]
-                tot = na * nb
-                off = np.concatenate(([0], np.cumsum(tot)))
-                pidx = np.repeat(np.arange(len(ri)), tot)
-                local = np.arange(off[-1]) - off[pidx]
-                a_doc = ids_all[starts[gi][pidx] + local // nb[pidx]]
-                b_doc = ids_all[starts[gj][pidx] + local % nb[pidx]]
-                out.append(pd.DataFrame({
-                    "doc_a": pd.Series(np.minimum(a_doc, b_doc), dtype="int64"),
-                    "doc_b": pd.Series(np.maximum(a_doc, b_doc), dtype="int64"),
-                    "est_jaccard": pd.Series(est[pidx], dtype="float64"),
-                }))
-    return pd.concat(out, ignore_index=True) if out else empty
+def _components(a: np.ndarray, b: np.ndarray):
+    """Connected components of the edge list (a[k], b[k]) over sortable
+    node values: (nodes, root), nodes sorted and root[k] the least node
+    of node k's component (labels run on the factorized ids)."""
+    nodes, inv = np.unique(np.concatenate((a, b)), return_inverse=True)
+    lab = _minlabel_components(len(nodes), inv[:len(a)], inv[len(a):])
+    return nodes, nodes[lab]
 
 
 _PAIRS_SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
@@ -390,140 +301,90 @@ def _sig_matrix(tbl: pa.Table, num_perm: int) -> np.ndarray:
         return np.ascontiguousarray(flat).view(np.uint64)
 
 
-def _reduce_spanning(tbl: pa.Table, h: np.ndarray, band: np.ndarray,
-                     threshold: float, num_perm: int) -> pa.Table:
-    """Bucket-wide reduce for mode="spanning": collapse IDENTICAL
-    signatures with ONE lexsort + adjacent-row comparison across the
-    whole bucket (members attach to their run's min-doc_id rep as
-    est=1.0 star rows), then run the per-group eq-matrix verification
-    ONLY for (band, band_hash) groups with >= 2 DISTINCT signatures —
-    a tiny minority at corpus scale, where exact duplicates dominate.
-    An earlier per-(band, band_hash) pandas loop did the same collapse
-    group-by-group and spent more time in 40k x ~2 ms pandas overhead
-    than in the matrices it avoided (measured 168 s vs 107 s on the
-    1.2M-doc bench corpus)."""
-    n = tbl.num_rows
-    ids = tbl["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+def _minhash_reduce(tbl: pa.Table, threshold: float, num_perm: int,
+                    spanning: bool) -> pa.Table:
+    """One bucket's MinHash pairs, both modes.  ONE sort by (band,
+    band_hash, signature row sum, doc_id) collapses IDENTICAL
+    signatures bucket-wide (exact duplicates dominate web corpora — the
+    240-replica bench corpus is the extreme: 1.2M rows, 5k distinct
+    signatures), so verification runs over DISTINCT signatures only:
+    each (band, band_hash) group's run representatives (its min
+    doc_id).  Groups of exactly 2 reps — the vast majority, measured
+    ~7.5k per bucket on the bench corpus, where a pandas groupby loop
+    at ~5 ms per group was 42 s of a 44 s reduce — are verified in ONE
+    stacked comparison; larger groups go to _distinct_sig_pairs (EXACT
+    at any size).
+
+    spanning: members attach to their run's rep as (rep, member, 1.0)
+    stars, and the est >= threshold graph over each group's reps
+    reduces to one star per component rooted at its min doc_id, so
+    near-identical clusters ship O(N) rows.  ``est_jaccard`` on a
+    rep-graph star is the DIRECT estimate of its two endpoints and can
+    fall below threshold for a transitively-connected member.
+
+    all: identical runs emit their doc_id-order CHAIN (round-2 advice:
+    600 identical docs emitted 69k pairs; N-1 per band), and each
+    qualifying rep pair expands to its runs' member cross product (the
+    estimate is a pure function of the signatures)."""
+    ids, band, h = (tbl[c].to_numpy() for c in ("doc_id", "band", "band_hash"))
     M = _sig_matrix(tbl, num_perm)
-    # sort by (band, hash, first two minhash cols, doc_id): equal
-    # signatures land adjacent (they agree on every column), doc_id
-    # ascending within a run so the first row is the min-id rep
-    order = np.lexsort((ids, M[:, min(1, num_perm - 1)], M[:, 0], h, band))
-    bO, hO, idsO, MO = band[order], h[order], ids[order], M[order]
-    same_group = np.zeros(n, dtype=bool)
-    same_group[1:] = (bO[1:] == bO[:-1]) & (hO[1:] == hO[:-1])
-    same_sig = same_group.copy()
-    same_sig[1:] &= (MO[1:] == MO[:-1]).all(axis=1)
-    # two equal signatures interleaved by a different one with the same
-    # two sort columns would split a run — that only yields an extra
-    # rep (re-verified exactly below), never a wrong pair
-    run_start = ~same_sig
-    run_id = np.cumsum(run_start) - 1
-    rep_pos = np.nonzero(run_start)[0]
-    rep_of_row = rep_pos[run_id]
-    member = ~run_start
-    out = []
-    if member.any():
-        out.append(pa.table({
-            "doc_a": pa.array(idsO[rep_of_row[member]], type=pa.int64()),
-            "doc_b": pa.array(idsO[member], type=pa.int64()),
-            "est_jaccard": pa.array(np.ones(int(member.sum()))),
-        }).cast(_PAIRS_SCHEMA))
-    # (band, hash) groups with >= 2 reps need the eq-matrix pass.
-    # These are individually tiny but NUMEROUS — near-dup-rich corpora
-    # produce one per colliding (doc pair, band), measured ~7.5k per
-    # bucket on the bench corpus, and a pandas groupby loop at ~5 ms
-    # per group was 42 s of a 44 s reduce.  All-numpy instead: 2-rep
-    # groups (the vast majority) in ONE stacked comparison, 3..chunk
-    # groups via cheap ndarray slices, pandas only for >chunk groups.
-    grp_id = np.cumsum(~same_group) - 1
-    rep_grp = grp_id[rep_pos]
-    reps_per_grp = np.bincount(rep_grp)
-    sel = reps_per_grp[rep_grp] >= 2
-    if sel.any():
-        posR = rep_pos[sel]
-        idsR, MR, grpR = idsO[posR], MO[posR], rep_grp[sel]
-        newg = np.cumsum(np.concatenate(([True], grpR[1:] != grpR[:-1]))) - 1
-        counts = np.bincount(newg)
-        starts = np.concatenate(([0], np.cumsum(counts)))
-        pair_g = np.nonzero(counts == 2)[0]
-        if len(pair_g):
-            a, b = starts[pair_g], starts[pair_g] + 1
-            est = (MR[a] == MR[b]).mean(axis=1)
-            hit = est >= threshold
-            if hit.any():
-                lo = np.minimum(idsR[a[hit]], idsR[b[hit]])
-                hi = np.maximum(idsR[a[hit]], idsR[b[hit]])
-                out.append(pa.table({
-                    "doc_a": pa.array(lo, type=pa.int64()),
-                    "doc_b": pa.array(hi, type=pa.int64()),
-                    "est_jaccard": pa.array(est[hit]),
-                }).cast(_PAIRS_SCHEMA))
-        da, db, de = [], [], []
-        for gidx in np.nonzero(counts >= 3)[0]:
-            s, e = starts[gidx], starts[gidx + 1]
-            if e - s > _BUCKET_CHUNK:
-                g = pd.DataFrame({
-                    "doc_id": idsR[s:e],
-                    "signature": [m.tobytes() for m in MR[s:e]],
-                })
-                res = _bucket_pairs(g, threshold, num_perm, "spanning")
-                if len(res):
-                    out.append(pa.Table.from_pandas(
-                        res, schema=_PAIRS_SCHEMA, preserve_index=False))
-                continue
-            ord2 = np.argsort(idsR[s:e], kind="stable")
-            ids2, M2 = idsR[s:e][ord2], MR[s:e][ord2]
-            eq = (M2[:, None, :] == M2[None, :, :]).mean(axis=2)
-            lab = _chunk_component_labels(eq >= threshold)
-            memb = np.nonzero(lab != np.arange(len(ids2)))[0]
-            if len(memb):
-                da.append(ids2[lab[memb]])
-                db.append(ids2[memb])
-                de.append(eq[lab[memb], memb])
-        if da:
-            out.append(pa.table({
-                "doc_a": pa.array(np.concatenate(da), type=pa.int64()),
-                "doc_b": pa.array(np.concatenate(db), type=pa.int64()),
-                "est_jaccard": pa.array(np.concatenate(de)),
-            }).cast(_PAIRS_SCHEMA))
-    if not out:
-        return _PAIRS_SCHEMA.empty_table()
-    return pa.concat_tables(out)
+    order, new, ca, cb = _identical_runs(ids, (band, h, M.sum(axis=1)), M)
+    io = ids[order]
+    start = np.flatnonzero(new)
+    rep = order[start]
+    idR, MR = ids[rep], M[rep]
+    gnew = _new_runs(band[rep], h[rep])
+    gstart = np.flatnonzero(gnew)
+    gsize = np.diff(np.append(gstart, len(rep)))
+    two = gstart[gsize == 2]
+    est = (MR[two] == MR[two + 1]).mean(axis=1)
+    hit = est >= threshold
+    found = [(two[hit], two[hit] + 1, est[hit])]
+    for s, m in zip(gstart[gsize > 2], gsize[gsize > 2]):
+        i, j, e = _distinct_sig_pairs(MR[s:s + m], threshold)
+        found.append((s + i, s + j, e))
+    ra, rb, est = (np.concatenate(c) for c in zip(*found))
+    if spanning:
+        # rank reps by (group, doc_id): a component's least rank is its
+        # least doc_id
+        perm = np.lexsort((idR, np.cumsum(gnew)))
+        rank = np.empty_like(perm)
+        rank[perm] = np.arange(len(perm))
+        node, root = _components(rank[ra], rank[rb])
+        root, node = perm[root[node != root]], perm[node[node != root]]
+        memb = np.flatnonzero(~new)
+        a = (io[start[np.cumsum(new)[memb] - 1]], idR[root])
+        b = (io[memb], idR[node])
+        e = (np.ones(len(memb)), (MR[root] == MR[node]).mean(axis=1))
+    else:
+        size = np.diff(np.append(start, len(io)))
+        na, nb = size[ra], size[rb]
+        k = np.repeat(np.arange(len(ra)), na * nb)
+        local = np.arange(len(k)) - np.repeat(np.cumsum(na * nb) - na * nb,
+                                              na * nb)
+        x = io[start[ra][k] + local // nb[k]]
+        y = io[start[rb][k] + local % nb[k]]
+        a, b = (ca, np.minimum(x, y)), (cb, np.maximum(x, y))
+        e = (np.ones(len(ca)), est[k])
+    return pa.table([np.concatenate(c) for c in (a, b, e)],
+                    schema=_PAIRS_SCHEMA)
 
 
 def _collapse_identical_signatures(ids: np.ndarray, sig: np.ndarray):
     """Group docs whose FULL signature rows are identical: returns
     (kept ids, kept sig rows, star table | None) where kept rows are
     each group's min-doc representative and stars are (rep, member,
-    1.0) rows for everyone else.  Identity is a full-row digest
-    (mix-chain over all perms) confirmed by exact row equality inside
-    digest runs — the same convention _reduce_spanning applies
-    bucket-wide to BAND-ROW layout; this is the signature-matrix form
-    used by the block-local combiner (and unit-tested directly in
-    tests/test_incremental_minhash.py)."""
-    n = len(ids)
-    if n <= 1:
+    1.0) rows for everyone else — _identical_runs on the signature
+    matrix, the block-local form of the bucket reduce's collapse
+    (unit-tested directly in tests/test_incremental_minhash.py)."""
+    order, new, _, _ = _identical_runs(ids, (sig.sum(axis=1),), sig)
+    if new.all():
         return ids, sig, None
-    fh = _band_hashes(sig, 1)[:, 0]
-    order = np.lexsort((ids, fh))
-    fhs, idss = fh[order], ids[order]
-    sigs = sig[order]
-    same = np.zeros(n, dtype=bool)
-    same[1:] = (fhs[1:] == fhs[:-1]) & (sigs[1:] == sigs[:-1]).all(axis=1)
-    first = ~same
-    if first.all():
-        return ids, sig, None
-    gid = np.cumsum(first) - 1
-    rep_of = idss[np.nonzero(first)[0]][gid]      # group min doc_id
-    members = same
-    stars = pa.table({
-        "doc_a": pa.array(rep_of[members], type=pa.int64()),
-        "doc_b": pa.array(idss[members], type=pa.int64()),
-        "est_jaccard": pa.array(np.ones(int(members.sum()))),
-    }).cast(_PAIRS_SCHEMA)
-    keep = np.nonzero(first)[0]
-    return idss[keep], sigs[keep], stars
+    keep = order[new]
+    memb = order[~new]
+    stars = pa.table([ids[keep][np.cumsum(new)[~new] - 1], ids[memb],
+                      np.ones(len(memb))], schema=_PAIRS_SCHEMA)
+    return ids[keep], sig[keep], stars
 
 
 def minhash_dedup_pairs(ds: rd.Dataset, threshold: float = 0.8, num_perm: int = 64,
@@ -541,7 +402,8 @@ def minhash_dedup_pairs(ds: rd.Dataset, threshold: float = 0.8, num_perm: int = 
     measured 125 s-for-100k-docs pathology from line dedup), plus the
     ~8 s shuffle floor.  Inside a bucket one numeric lexsort finds the
     multi-row (band, band_hash) runs — the tiny minority — and only
-    those reach _bucket_pairs; singleton rows are discarded vectorized.
+    those reach verification (_minhash_reduce); a NULL doc_id row is
+    dropped before its signature (it can anchor no pair).
 
     Spanning mode adds a BLOCK-LOCAL COMBINER (the line-dedup pattern):
     docs whose FULL signatures are identical within one input block
@@ -583,54 +445,22 @@ def minhash_dedup_pairs(ds: rd.Dataset, threshold: float = 0.8, num_perm: int = 
     spanning = mode == "spanning"
 
     def part(tbl: pa.Table):
-        side = _PAIRS_SCHEMA.empty_table()
+        ids, sig = stage.signatures(_drop_null_ids(tbl, id_col))
+        side = None
         if spanning:
-            ids_arr, sig = stage.signatures(tbl)
-            if ids_arr.null_count:
-                # a null doc_id can't anchor a dedup identity (and its
-                # numpy view would float-promote): such degenerate
-                # blocks skip the combiner — nulls ride the exchange
-                # exactly as in mode="all"
-                tbl = stage.band_rows(ids_arr, sig)
-            else:
-                ids = ids_arr.to_numpy(zero_copy_only=False)
-                keep_ids, keep_sig, stars = \
-                    _collapse_identical_signatures(ids, sig)
-                if stars is not None:
-                    side = stars
-                tbl = stage.band_rows(
-                    pa.array(keep_ids, type=pa.int64()), keep_sig)
-        else:
-            tbl = stage(tbl)
+            keep, sig, side = _collapse_identical_signatures(ids.to_numpy(),
+                                                             sig)
+            ids = pa.array(keep)
+        tbl = stage.band_rows(ids, sig)
         h = tbl["band_hash"].to_numpy(zero_copy_only=False).view(np.uint64)
         band = tbl["band"].to_numpy(zero_copy_only=False).astype(np.uint64)
         key = h + band * np.uint64(0x9E3779B97F4A7C15)
-        return (side, key, tbl) if spanning else (key, tbl)
+        if not spanning:
+            return key, tbl
+        return (_PAIRS_SCHEMA.empty_table() if side is None else side), key, tbl
 
     def reduce_pairs(tbl: pa.Table) -> pa.Table:
-        h = tbl["band_hash"].to_numpy(zero_copy_only=False)
-        band = tbl["band"].to_numpy(zero_copy_only=False)
-        if mode == "spanning":
-            return _reduce_spanning(tbl, h, band, threshold, num_perm)
-        order = np.lexsort((h, band))
-        hs, bs = h[order], band[order]
-        # boundaries of (band, band_hash) runs; only runs >= 2 rows can
-        # yield a pair — drop singletons before any per-group Python
-        new = np.ones(len(hs), dtype=bool)
-        new[1:] = (bs[1:] != bs[:-1]) | (hs[1:] != hs[:-1])
-        run_id = np.cumsum(new) - 1
-        run_len = np.bincount(run_id)
-        multi = run_len[run_id] >= 2
-        if not multi.any():
-            return _PAIRS_SCHEMA.empty_table()
-        sub = tbl.take(pa.array(order[multi])).to_pandas()
-        out = [
-            _bucket_pairs(g, threshold, num_perm, mode)
-            for _, g in sub.groupby(["band", "band_hash"], sort=False)
-        ]
-        res = pd.concat(out, ignore_index=True)
-        return pa.Table.from_pandas(res, schema=_PAIRS_SCHEMA,
-                                    preserve_index=False)
+        return _minhash_reduce(tbl, threshold, num_perm, spanning)
 
     side, reduced = bucket_exchange(
         block_refs(ds), n_buckets, part, reduce_pairs, _PAIRS_SCHEMA,
@@ -639,29 +469,13 @@ def minhash_dedup_pairs(ds: rd.Dataset, threshold: float = 0.8, num_perm: int = 
 
 
 def components_from_pairs(pairs_df: pd.DataFrame) -> pd.DataFrame:
-    """Union-find over candidate pairs -> (doc_id, dup_of) with dup_of the
-    minimum doc_id of the component.  Driver-side: pairs are near-dups
-    only (documented assumption)."""
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            if ry < rx:
-                rx, ry = ry, rx
-            parent[ry] = rx
-
-    seen = pairs_df[["doc_a", "doc_b"]].drop_duplicates()
-    for a, b in zip(seen["doc_a"], seen["doc_b"]):
-        union(int(a), int(b))
-    rows = sorted((d, find(d)) for d in parent)
-    return pd.DataFrame(rows, columns=["doc_id", "dup_of"]).astype("int64")
+    """Connected components over candidate pairs -> (doc_id, dup_of)
+    with dup_of the minimum doc_id of the component (_components on the
+    factorized ids).  Driver-side: pairs are near-dups only (documented
+    assumption)."""
+    node, root = _components(pairs_df["doc_a"].to_numpy(np.int64),
+                             pairs_df["doc_b"].to_numpy(np.int64))
+    return pd.DataFrame({"doc_id": node, "dup_of": root})
 
 
 def components_min_label(pairs: rd.Dataset, max_iters: int = 128,
@@ -669,8 +483,8 @@ def components_min_label(pairs: rd.Dataset, max_iters: int = 128,
                          return_rounds: bool = False,
                          n_buckets: int | None = None):
     """DISTRIBUTED connected components: iterative min-label propagation
-    — the documented swap-in for the driver-side union-find when
-    candidate pairs stop fitting one machine.
+    — the documented swap-in for the driver-side components_from_pairs
+    when candidate pairs stop fitting one machine.
 
     Shape (round-3 verdict #4: the previous form ran one pandas group
     per NODE per round through Dataset.groupby — the anti-scale shape
@@ -895,42 +709,13 @@ _SIMHASH_PAIRS = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
                             ("hamming", pa.int64())])
 
 
-def _simhash_allpairs(pos: np.ndarray, hs: np.ndarray, max_hamming: int,
-                      tile: int = 1024):
-    """(i, j, hamming) with i < j among ``pos`` rows of the uint64
-    simhash vector whose XOR popcount <= max_hamming, in tile x tile
-    blocks (bounds the popcount matrix at tile^2 uint64)."""
-    pos = np.sort(np.asarray(pos))
-    m = len(pos)
-    oi, oj, oh = [], [], []
-    for i0 in range(0, m, tile):
-        A = hs[pos[i0:i0 + tile]]
-        for j0 in range(i0, m, tile):
-            B = hs[pos[j0:j0 + tile]]
-            x = A[:, None] ^ B[None, :]
-            popm = popcount64(x.reshape(-1)).reshape(len(A), len(B))
-            if j0 == i0:
-                ii, jj = np.nonzero(np.triu(popm <= max_hamming, k=1))
-            else:
-                ii, jj = np.nonzero(popm <= max_hamming)
-            if len(ii):
-                oi.append(pos[i0 + ii])
-                oj.append(pos[j0 + jj])
-                oh.append(popm[ii, jj])
-    if not oi:
-        z = np.array([], dtype=np.int64)
-        return z, z.copy(), z.copy()
-    return np.concatenate(oi), np.concatenate(oj), np.concatenate(oh)
-
-
 def _simhash_exact_pairs(hs: np.ndarray, max_hamming: int):
-    """EXACT in-bucket closure for SimHash (same advisor-round-3 fix as
-    _distinct_sig_pairs: the old 1-row-overlap chunk pass could drop a
-    qualifying pair sorting >1 chunk apart).  <= _EXACT_ALLPAIRS_CAP
+    """EXACT in-bucket closure for SimHash: (i, j, hamming) with i < j
+    over the uint64 simhashes within max_hamming bits (same
+    advisor-round-3 fix as _distinct_sig_pairs).  <= _EXACT_ALLPAIRS_CAP
     rows: tiled all-pairs.  Beyond: pigeonhole — a pair with hamming <=
     h differs in <= h bits, so among h+1 bit segments at least one is
-    fully equal; sort-group by each segment value, all-pairs inside
-    equal runs, dedup pairs found through several segments.
+    fully equal.
 
     Segments are cut on a ROTATED hash (advisor round-4: the natural
     4 x 16-bit cuts at default max_hamming=3 coincide with the LSH
@@ -939,36 +724,19 @@ def _simhash_exact_pairs(hs: np.ndarray, max_hamming: int):
     An 8-bit rotation makes every segment straddle two bands — the
     pigeonhole argument only needs SOME fixed disjoint cover of the 64
     bits, so correctness is unchanged."""
-    n = len(hs)
-    if n <= _EXACT_ALLPAIRS_CAP:
-        return _simhash_allpairs(np.arange(n), hs, max_hamming)
-    s = min(max_hamming + 1, 64)
-    bounds = np.linspace(0, 64, s + 1).astype(int)
+    def verify(pos):
+        return _tiled_pairs(
+            hs, pos, lambda A, B: popcount64(
+                (A[:, None] ^ B[None, :]).reshape(-1)).reshape(len(A), len(B)),
+            lambda d: d <= max_hamming, tile=1024)
+
+    if len(hs) <= _EXACT_ALLPAIRS_CAP:
+        return verify(np.arange(len(hs)))
+    cut = np.linspace(0, 64, min(max_hamming + 1, 64) + 1).astype(int)
     rot = (hs >> np.uint64(8)) | (hs << np.uint64(56))
-    fi, fj, fh = [], [], []
-    for k in range(s):
-        lo, hi = int(bounds[k]), int(bounds[k + 1])
-        key = (rot >> np.uint64(lo)) & np.uint64((1 << (hi - lo)) - 1)
-        order = np.argsort(key, kind="stable")
-        ks = key[order]
-        same = np.zeros(n, dtype=bool)
-        same[1:] = ks[1:] == ks[:-1]
-        run_id = np.cumsum(~same) - 1
-        cnt = np.bincount(run_id)
-        st = np.concatenate(([0], np.cumsum(cnt)))
-        for r in np.nonzero(cnt >= 2)[0]:
-            i2, j2, h2 = _simhash_allpairs(order[st[r]:st[r + 1]], hs,
-                                           max_hamming)
-            if len(i2):
-                fi.append(i2)
-                fj.append(j2)
-                fh.append(h2)
-    if not fi:
-        z = np.array([], dtype=np.int64)
-        return z, z.copy(), z.copy()
-    i, j, h = np.concatenate(fi), np.concatenate(fj), np.concatenate(fh)
-    _, idx = np.unique(i.astype(np.int64) * n + j, return_index=True)
-    return i[idx], j[idx], h[idx]
+    return _pigeonhole_pairs(
+        ((rot >> np.uint64(lo)) & np.uint64((1 << (hi - lo)) - 1)
+         for lo, hi in zip(cut[:-1], cut[1:])), verify)
 
 
 def simhash_dedup_pairs(ds: rd.Dataset, max_hamming: int = 3,
@@ -982,8 +750,9 @@ def simhash_dedup_pairs(ds: rd.Dataset, max_hamming: int = 3,
 
     The signature is computed inside the partition task (the
     minhash_dedup_pairs shape), so each input block becomes its band
-    rows in one task; the reduce sorts the bucket once and drops
-    singleton runs before any per-run Python."""
+    rows in one task; the reduce sorts the bucket once and runs Python
+    only per group of >= 2 distinct simhashes.  A NULL doc_id row is
+    dropped before its signature (it can anchor no pair)."""
     from json_remedy_ray.state.partitioning import (
         bucket_exchange,
         default_n_buckets,
@@ -991,6 +760,7 @@ def simhash_dedup_pairs(ds: rd.Dataset, max_hamming: int = 3,
     )
 
     def part(tbl: pa.Table):
+        tbl = _drop_null_ids(tbl, id_col)
         hs = _batch_simhash(tbl[text_col])
         n = len(hs)
         band = np.repeat(np.arange(4, dtype=np.int64), n)
@@ -1002,49 +772,26 @@ def simhash_dedup_pairs(ds: rd.Dataset, max_hamming: int = 3,
                          "simhash": pa.array(np.tile(hs.view(np.int64), 4))})
         return hash_key((band << 16) | band_key, None), rows
 
-    def bucket_pairs(ids: np.ndarray, hs_all: np.ndarray):
-        """One (band, band_key) run sorted by (simhash, doc_id).
-        IDENTICAL simhashes collapse first (advisor round-4: a giant
-        exact-duplicate cluster — identical hashes — emitted all C(N,2)
-        pairs; the minhash path already chains these): each identical
-        run emits its doc_id-order CHAIN pairs (hamming 0, N-1 rows,
-        connectivity preserved), and the hamming search runs over
-        DISTINCT simhashes only with each run's min doc_id as rep."""
-        _, first = np.unique(ids, return_index=True)   # one row per doc
-        first.sort()
-        ids, hs_all = ids[first], hs_all[first]
-        new = np.ones(len(ids), dtype=bool)
-        new[1:] = hs_all[1:] != hs_all[:-1]
-        mpos = np.nonzero(~new)[0]       # chain pairs inside identical runs
-        out = [(ids[mpos - 1], ids[mpos], np.zeros(len(mpos), np.int64))]
-        rep_pos = np.nonzero(new)[0]
-        if len(rep_pos) >= 2:
-            # reps ordered by doc_id so emitted pairs keep doc_a < doc_b
-            rep_ids = ids[rep_pos]
-            perm = np.argsort(rep_ids, kind="stable")
-            rids = rep_ids[perm]
-            ai, bj, ham = _simhash_exact_pairs(hs_all[rep_pos][perm],
-                                               max_hamming)
-            out.append((rids[ai], rids[bj], ham))
-        return out
-
     def reduce_pairs(t: pa.Table) -> pa.Table:
+        """IDENTICAL simhashes collapse first (advisor round-4: a giant
+        exact-duplicate cluster emitted all C(N,2) pairs): each
+        identical run emits its doc_id-order CHAIN (hamming 0), and the
+        hamming search runs per (band, band_key) group over the runs'
+        min-doc_id reps only."""
         band, bk, ids, sh = (t[c].to_numpy() for c in
                              ("band", "band_key", "doc_id", "simhash"))
-        order = np.lexsort((ids, sh, bk, band))
-        band, bk, ids = band[order], bk[order], ids[order]
-        hs = sh[order].view(np.uint64)
-        new = np.ones(len(ids), dtype=bool)
-        new[1:] = (band[1:] != band[:-1]) | (bk[1:] != bk[:-1])
-        starts = np.nonzero(new)[0]
-        lens = np.diff(np.append(starts, len(ids)))
-        multi = lens >= 2        # singleton runs never reach Python
-        parts = [p for a, m in zip(starts[multi], lens[multi])
-                 for p in bucket_pairs(ids[a:a + m], hs[a:a + m])]
-        if not parts:
-            return _SIMHASH_PAIRS.empty_table()
-        return pa.table([pa.array(np.concatenate(c).astype(np.int64))
-                         for c in zip(*parts)], schema=_SIMHASH_PAIRS)
+        order, new, ca, cb = _identical_runs(ids, (band, bk, sh))
+        rep = order[new]
+        idR, hs = ids[rep], sh[rep].view(np.uint64)
+        gstart = np.flatnonzero(_new_runs(band[rep], bk[rep]))
+        gsize = np.diff(np.append(gstart, len(rep)))
+        found = [(ca, cb, np.zeros(len(ca), np.int64))]
+        for s, m in zip(gstart[gsize > 1], gsize[gsize > 1]):
+            i, j, d = _simhash_exact_pairs(hs[s:s + m], max_hamming)
+            a, b = idR[s + i], idR[s + j]
+            found.append((np.minimum(a, b), np.maximum(a, b), d))
+        return pa.table([np.concatenate(c).astype(np.int64)
+                         for c in zip(*found)], schema=_SIMHASH_PAIRS)
 
     _, reduced = bucket_exchange(block_refs(ds), default_n_buckets(),
                                  part, reduce_pairs, _SIMHASH_PAIRS)
@@ -1415,7 +1162,7 @@ def jaccard_neardup_pairs(ds: rd.Dataset, n: int = 3,
 
     Scale shape: candidate pairs are near-dups only — a tiny fraction of
     the corpus (the same bounded-cardinality argument as the driver
-    union-find) — so the verification gathers n-gram sets for CANDIDATE
+    components_from_pairs) — so the verification gathers n-gram sets for CANDIDATE
     DOCS ONLY via one broadcast-filtered map_batches over the corpus (no
     shuffle, no full-corpus gather), then intersects each pair's sorted
     arrays with np.intersect1d.

@@ -24,6 +24,7 @@ import ray
 import ray.data as rd
 
 from json_remedy_ray.functions.vhash import as_array
+from json_remedy_ray.stages.dedup import _drop_null_ids, _tiled_pairs
 from json_remedy_ray.state.partitioning import (
     block_refs,
     bucket_exchange,
@@ -186,55 +187,33 @@ def verify_embedding_bucket(g: pd.DataFrame, threshold: float,
         (distance 0) always sort adjacent, so identical-vector recovery
         survives even here.
     """
-    none = np.empty(0, np.int64)
-    out = [(none, none, np.empty(0))]
     if len(g) < 2:
-        return _pairs_frame(out)
+        return pd.DataFrame({"vec_a": pd.Series([], dtype="int64"),
+                             "vec_b": pd.Series([], dtype="int64"),
+                             "cosine": pd.Series([], dtype="float64")})
     X = np.stack(g[vec_col].to_numpy()).astype(np.float64)
     ids = g["vec_id"].to_numpy().astype(np.int64)
     n = len(ids)
-    Xn = X / np.linalg.norm(X, axis=1, keepdims=True)
-
+    order = np.argsort(ids)                  # row index order == id order
+    ids = ids[order]
+    Xn = (X / np.linalg.norm(X, axis=1, keepdims=True))[order]
     if n <= exhaustive_max:
-        order = np.argsort(ids)
-        ids, Xn = ids[order], Xn[order]
-        for i0 in range(0, n, _EMB_CHUNK):
-            A = Xn[i0:i0 + _EMB_CHUNK]
-            for j0 in range(i0, n, _EMB_CHUNK):
-                sims = A @ Xn[j0:j0 + _EMB_CHUNK].T
-                hits = sims >= threshold
-                if i0 == j0:
-                    hits = np.triu(hits, k=1)
-                ai, bj = np.nonzero(hits)
-                out.append((ids[i0 + ai], ids[j0 + bj], sims[ai, bj]))
-        return _pairs_frame(out)
-
-    # degenerate giant bucket: random-projection order + 50% overlap
-    rng = np.random.RandomState(seed)
-    u = rng.randn(Xn.shape[1])
-    u /= np.linalg.norm(u)
-    order = np.lexsort((ids, Xn @ u))
-    ids, Xn = ids[order], Xn[order]
-    for lo in range(0, n - 1, _EMB_CHUNK // 2):
-        cid = ids[lo:lo + _EMB_CHUNK]
-        C = Xn[lo:lo + _EMB_CHUNK]
-        if len(cid) < 2:
-            continue
-        ord2 = np.argsort(cid)
-        cid, C = cid[ord2], C[ord2]
-        sims = C @ C.T
-        ai, bj = np.nonzero(np.triu(sims >= threshold, k=1))
-        out.append((cid[ai], cid[bj], sims[ai, bj]))
-    # 50% overlap re-compares some pairs: dedup before returning
-    return (_pairs_frame(out).drop_duplicates(["vec_a", "vec_b"])
-            .reset_index(drop=True))
-
-
-def _pairs_frame(parts) -> pd.DataFrame:
-    """(vec_a, vec_b, cosine) frame from per-tile array triples."""
-    a, b, c = (np.concatenate(x) for x in zip(*parts))
-    return pd.DataFrame({"vec_a": a, "vec_b": b,
-                         "cosine": c.astype(np.float64)})
+        tiles = [np.arange(n)]
+    else:
+        # degenerate giant bucket: random-projection order + 50% overlap
+        rng = np.random.RandomState(seed)
+        u = rng.randn(Xn.shape[1])
+        u /= np.linalg.norm(u)
+        proj = np.lexsort((ids, Xn @ u))
+        tiles = [proj[lo:lo + _EMB_CHUNK]
+                 for lo in range(0, n - 1, _EMB_CHUNK // 2)]
+    i, j, cos = (np.concatenate(c) for c in zip(*(
+        _tiled_pairs(Xn, t, lambda A, B: A @ B.T,
+                     lambda sims: sims >= threshold, _EMB_CHUNK)
+        for t in tiles)))
+    _, k = np.unique(i * n + j, return_index=True)   # 50% overlap repeats
+    return pd.DataFrame({"vec_a": ids[i[k]], "vec_b": ids[j[k]],
+                         "cosine": cos[k]})
 
 
 def embedding_neardup_pairs(ds: rd.Dataset, threshold: float = 0.95, n_planes: int = 16,
@@ -254,6 +233,7 @@ def embedding_neardup_pairs(ds: rd.Dataset, threshold: float = 0.95, n_planes: i
             "lsh": pa.array(keys)})
 
     def reduce_pairs(t: pa.Table) -> pa.Table:
+        t = _drop_null_ids(t, "vec_id")      # a NULL id pairs with nothing
         keys = t["lsh"].to_numpy()
         order = np.argsort(keys, kind="stable")
         ks = keys[order]

@@ -58,27 +58,34 @@ def test_collapse_identical_signatures_unit():
 
 
 def test_spanning_tolerates_null_doc_id(ray_session):
-    """A null doc_id must not crash the spanning combiner (the numpy
-    view float-promotes); such blocks skip the combiner and nulls ride
-    the exchange as in mode='all'."""
+    """A NULL doc_id is never a pair endpoint: its row is dropped before
+    its signature, so docs 1 and 2 connect directly (no sentinel id from
+    a float-promoted NULL) and every pair keeps doc_a < doc_b, in both
+    MinHash modes and in SimHash."""
     import pyarrow as pa
     import ray.data as rd
 
-    from json_remedy_ray.stages.dedup import minhash_dedup_pairs
+    from json_remedy_ray.stages.dedup import (
+        components_from_pairs,
+        minhash_dedup_pairs,
+        simhash_dedup_pairs,
+    )
 
     t = "shared text body " + " ".join(f"tok{j}" for j in range(40))
     ds = rd.from_arrow(pa.table({
         "doc_id": pa.array([1, 2, None], type=pa.int64()),
         "text": pa.array([t, t, t]),
     }))
-    out = minhash_dedup_pairs(ds, threshold=0.8, n_buckets=2).to_pandas()
-    # docs 1 and 2 are identical -> CONNECTED (possibly transitively
-    # through the null row's sentinel id, the pre-existing reduce
-    # behavior for null ids)
-    from json_remedy_ray.stages.dedup import components_from_pairs
-
-    comp = components_from_pairs(out).set_index("doc_id")["dup_of"]
-    assert comp.get(1) is not None and comp.get(1) == comp.get(2)
+    for out in (minhash_dedup_pairs(ds, threshold=0.8, n_buckets=2),
+                minhash_dedup_pairs(ds, threshold=0.8, n_buckets=2,
+                                    mode="all"),
+                simhash_dedup_pairs(ds, max_hamming=3)):
+        out = out.to_pandas()
+        assert len(out)
+        assert set(out["doc_a"]) | set(out["doc_b"]) <= {1, 2}
+        assert (out["doc_a"] < out["doc_b"]).all()
+        comp = components_from_pairs(out).set_index("doc_id")["dup_of"]
+        assert comp.get(1) is not None and comp.get(1) == comp.get(2)
 
 
 def test_block_local_identical_sig_combiner(ray_session):

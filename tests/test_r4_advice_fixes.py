@@ -1,8 +1,8 @@
 """Round-4 advisor-finding regressions.
 
-1. _bucket_pairs / _simhash_exact_pairs: EXACT bucket closure — the old
-   1-row-overlap chunk pass dropped a qualifying pair whose signatures
-   sort >1 chunk apart in a >_BUCKET_CHUNK-distinct-signature bucket
+1. _minhash_reduce / _simhash_exact_pairs: EXACT bucket closure — the
+   old 1-row-overlap chunk pass dropped a qualifying pair whose
+   signatures sort >1 chunk apart in a >256-distinct-signature bucket
    (advisor repro: 600-sig bucket, planted est-0.875 pair, 0 emitted).
 2. ngram_jaccard / jaccard_neardup_pairs: either-empty gram set scores
    0.0 (two distinct short docs must never verify as near-dups).
@@ -20,11 +20,26 @@ def _rand_sigs(rng, d, p=64):
     return rng.randint(0, 2**63, size=(d, p)).astype(np.uint64)
 
 
+def _one_group_pairs(g: pd.DataFrame, threshold: float, num_perm: int,
+                     mode: str) -> pd.DataFrame:
+    """One (band, band_hash) group of (doc_id, signature bytes) rows
+    through the MinHash bucket reduce."""
+    from json_remedy_ray.stages.dedup import _minhash_reduce
+
+    n = len(g)
+    tbl = pa.table({"doc_id": pa.array(g["doc_id"], type=pa.int64()),
+                    "band": pa.array(np.zeros(n, np.int32)),
+                    "band_hash": pa.array(np.zeros(n, np.int64)),
+                    "signature": pa.array(g["signature"], type=pa.binary())})
+    return _minhash_reduce(tbl, threshold, num_perm,
+                           mode == "spanning").to_pandas()
+
+
 def test_bucket_pairs_exact_closure_degenerate_bucket():
     """Advisor repro: planted pair differing only in EARLY minhash
     columns (sorts chunks apart) inside a 600-distinct-sig bucket must
     be emitted in BOTH modes."""
-    from json_remedy_ray.stages.dedup import _bucket_pairs, components_from_pairs
+    from json_remedy_ray.stages.dedup import components_from_pairs
 
     rng = np.random.RandomState(0)
     P, D = 64, 600
@@ -36,11 +51,12 @@ def test_bucket_pairs_exact_closure_degenerate_bucket():
     g = pd.DataFrame({"doc_id": ids, "signature": [m.tobytes() for m in M]})
     a, b = int(ids[10]), int(ids[577])
 
-    res_all = _bucket_pairs(g, threshold=0.75, num_perm=P, mode="all")
+    res_all = _one_group_pairs(g, threshold=0.75, num_perm=P, mode="all")
     hit = res_all[(res_all.doc_a == min(a, b)) & (res_all.doc_b == max(a, b))]
     assert len(hit) == 1 and float(hit.est_jaccard.iloc[0]) == 56 / 64
 
-    res_span = _bucket_pairs(g, threshold=0.75, num_perm=P, mode="spanning")
+    res_span = _one_group_pairs(g, threshold=0.75, num_perm=P,
+                                mode="spanning")
     comp = components_from_pairs(res_span)
     lab = dict(zip(comp.doc_id, comp.dup_of))
     assert lab.get(a, a) == lab.get(b, b) or lab.get(b) == a
@@ -65,8 +81,6 @@ def test_bucket_pairs_all_mode_cross_group_members():
     """'all' mode expands a qualifying distinct-sig pair to every
     member cross pair (the old chunk pass only emitted those landing in
     one chunk)."""
-    from json_remedy_ray.stages.dedup import _bucket_pairs
-
     rng = np.random.RandomState(2)
     P = 64
     base = _rand_sigs(rng, 1, P)[0]
@@ -76,7 +90,7 @@ def test_bucket_pairs_all_mode_cross_group_members():
     for did, s in [(1, base), (2, base), (3, base), (10, near), (11, near)]:
         rows.append({"doc_id": did, "signature": s.tobytes()})
     g = pd.DataFrame(rows)
-    res = _bucket_pairs(g, threshold=0.9, num_perm=P, mode="all")
+    res = _one_group_pairs(g, threshold=0.9, num_perm=P, mode="all")
     got = set(zip(res.doc_a, res.doc_b))
     # chains inside identical runs
     assert {(1, 2), (2, 3), (10, 11)} <= got

@@ -195,7 +195,7 @@ def test_giant_identical_bucket_stays_connected(ray_session):
 
     from json_remedy_ray.stages.dedup import components_from_pairs, simhash_dedup_pairs
 
-    n = 1200  # > 2 * _BUCKET_CHUNK rows per band bucket
+    n = 1200  # > 512 rows per band bucket
     df = pd.DataFrame({"doc_id": range(n), "text": ["identical text here"] * n})
     pairs = simhash_dedup_pairs(rd.from_pandas(df), max_hamming=3).to_pandas()
     comp = components_from_pairs(pairs)
